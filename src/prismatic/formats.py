@@ -35,28 +35,40 @@ def to_json(obj, n: int | None = None) -> dict:
     return {"cells": [{"x": x, "y": y} for x, y in cells]}
 
 
+def _int(record: dict, key: str) -> int:
+    """``record[key]`` when it is a JSON integer; bools, floats and
+    strings are rejected rather than coerced."""
+    value = record.get(key)
+    if type(value) is not int:
+        raise LatticeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def parse_json(doc: dict) -> tuple[frozenset[Cell] | dict[Cell, int], int | None]:
     """Inverse of :func:`to_json`, kept in absolute coordinates.
 
     Returns ``(cells, None)`` for uncolored shapes and
     ``(mapping, n)`` for colorings.  ``n`` defaults to the largest color
-    present when the document does not carry it.
+    present when the document does not carry it.  ``x``, ``y``,
+    ``color`` and ``n`` must be integers.
     """
-    if "cells" not in doc or not isinstance(doc["cells"], list):
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise LatticeError("document needs a 'cells' list")
     records = doc["cells"]
     if not records:
         raise LatticeError("document lists no cells")
+    if not all(isinstance(r, dict) for r in records):
+        raise LatticeError("every cell must be a JSON object")
     colored = any("color" in r for r in records)
     if colored:
         if not all("color" in r for r in records):
             raise LatticeError("either all cells carry a color or none")
-        mapping = {(int(r["x"]), int(r["y"])): int(r["color"]) for r in records}
+        mapping = {(_int(r, "x"), _int(r, "y")): _int(r, "color") for r in records}
         if len(mapping) != len(records):
             raise LatticeError("duplicate cells in document")
-        n = int(doc["n"]) if "n" in doc else max(mapping.values())
+        n = _int(doc, "n") if "n" in doc else max(mapping.values())
         return mapping, n
-    cells = frozenset((int(r["x"]), int(r["y"])) for r in records)
+    cells = frozenset((_int(r, "x"), _int(r, "y")) for r in records)
     if len(cells) != len(records):
         raise LatticeError("duplicate cells in document")
     return cells, None

@@ -2,9 +2,18 @@
 
 A coloring of a shape S is de Bruijn for a pattern p when the translates
 of p inside S pick up every n-coloring of p exactly once.  The searches
-here assign colors cell by cell in row-major order (top row first) and
-prune as soon as two completed instances repeat a pattern coloring, so
-results stream out in lexicographic order of the row-major color word.
+here assign colors cell by cell in row-major order (top row first), so
+results come out in lexicographic order of the row-major color word.
+Two exact cuts shrink the tree:
+
+* color symmetry: a de Bruijn coloring uses every color, so the n!
+  color permutations act freely on the solutions and the search keeps
+  only canonical words, in which color c + 1 never comes before color c
+  (value precedence); callers expand each word by the permutations;
+* prefix counts: every pattern coloring occurs once, so at most
+  ``n**(k - j)`` instances may read the same first j colors (k pattern
+  cells, in row-major order); a branch dies as soon as one prefix passes
+  its cap, which at ``j = k`` is the duplicate check.
 """
 
 from __future__ import annotations
@@ -46,8 +55,9 @@ class NoWitnessError(SearchError):
 class SearchConfig:
     """Shared search knobs.
 
-    ``node_limit`` bounds color assignments tried per search call (and
-    per worker when fanned out); ``subset_limit`` bounds the number of
+    ``node_limit`` bounds color assignments tried per search call; a
+    call fanned out over ``threads`` workers spends one budget, the same
+    as the serial search.  ``subset_limit`` bounds the number of
     bounding-box subsets a shape scan may visit.
     """
 
@@ -108,16 +118,29 @@ def is_debruijn_coloring(colored: ColoredPolyomino, pattern: Polyomino) -> Verif
     )
 
 
-def _tables(shape: Polyomino, pattern: Polyomino, n: int):
-    """Row-major assignment order plus per-step instance completions."""
-    order = sorted(shape.cells, key=lambda c: (-c[1], c[0]))
+def _row_major(cell: Cell) -> tuple[int, int]:
+    return (-cell[1], cell[0])
+
+
+def _cell_table(shape: Polyomino, pattern: Polyomino):
+    """Assignment order plus, per step, the instances through that cell.
+
+    A translate keeps the row-major order of the pattern's cells, so the
+    cell assigned at step ``t`` is the next uncolored cell of every
+    instance in ``through[t]``, and it is a different pattern cell, hence
+    a different prefix length, for each of them.
+    """
+    order = sorted(shape.cells, key=_row_major)
     index = {c: i for i, c in enumerate(order)}
-    powers = [n**j for j in range(len(pattern.cells))]
-    completing: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in order]
-    for vx, vy in instances_of(pattern, shape):
-        idxs = [index[(px + vx, py + vy)] for px, py in pattern.cells]
-        completing[max(idxs)].append(tuple(zip(idxs, powers)))
-    return order, completing
+    through: list[list[int]] = [[] for _ in order]
+    for i, (vx, vy) in enumerate(instances_of(pattern, shape)):
+        for px, py in pattern.cells:
+            through[index[(px + vx, py + vy)]].append(i)
+    return order, through
+
+
+def _over_budget(node_limit: int) -> BudgetExceededError:
+    return BudgetExceededError(f"search exceeded the {node_limit} node budget")
 
 
 def _run_search(
@@ -129,61 +152,87 @@ def _run_search(
     depth_stop: int | None = None,
     solution_cap: int | None = None,
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Backtracking core; returns (words, nodes tried).
+    """Backtracking core; returns (canonical words, nodes tried).
 
-    Words are color tuples in row-major order, emitted lexicographically.
-    ``prefix`` pins the first assignments (still checked), ``depth_stop``
-    truncates the search to partial words of that length and
-    ``solution_cap`` stops after so many results.
+    Words are color tuples in row-major order, emitted lexicographically,
+    and canonical: color c + 1 never appears before color c.  With
+    exactly ``n**|pattern|`` instances every solution uses all n colors,
+    so each solution is one color permutation of exactly one canonical
+    word.  ``prefix`` pins the first assignments (still checked),
+    ``depth_stop`` truncates the search to partial words of that length
+    and ``solution_cap`` stops after so many results.
     """
-    order, completing = _tables(shape, pattern, n)
+    order, through = _cell_table(shape, pattern)
+    k = len(pattern.cells)
     stop = len(order) if depth_stop is None else min(depth_stop, len(order))
-    seen = bytearray(n ** len(pattern.cells))
+    # A prefix of j colors is coded in bijective base n: the empty prefix
+    # is 0 and appending color c maps code to code * n + c.  Each word
+    # occurs once, so at most n**(k - j) instances may share a j-color
+    # prefix; room[code] is what is left of that cap.
+    room: list[int] = []
+    for j in range(k + 1):
+        room += [n ** (k - j)] * n**j
+    # keys[i] codes the colors instance i has so far.
+    keys = [0] * (sum(map(len, through)) // k)
     colors = [0] * len(order)
     results: list[tuple[int, ...]] = []
     nodes = 0
 
-    def place(t: int) -> bool:
+    def place(t: int, top: int) -> bool:
         nonlocal nodes
         if t == stop:
             results.append(tuple(colors[:stop]))
             return solution_cap is None or len(results) < solution_cap
-        choices = (prefix[t],) if t < len(prefix) else range(1, n + 1)
+        choices = (prefix[t],) if t < len(prefix) else range(1, min(n, top + 1) + 1)
+        ids = through[t]
         for c in choices:
             nodes += 1
             if nodes > node_limit:
-                raise BudgetExceededError(
-                    f"search exceeded the {node_limit} node budget"
-                )
-            colors[t] = c
-            added: list[int] = []
-            dup = False
-            for entry in completing[t]:
-                key = 0
-                for idx, pw in entry:
-                    key += (colors[idx] - 1) * pw
-                if seen[key]:
-                    dup = True
+                raise _over_budget(node_limit)
+            # Prefixes of different lengths never share a code, so no two
+            # instances in ``ids`` draw on the same room entry.
+            for i in ids:
+                if not room[keys[i] * n + c]:
                     break
-                seen[key] = 1
-                added.append(key)
-            alive = True if dup else place(t + 1)
-            for key in added:
-                seen[key] = 0
-            if not alive:
-                return False
+            else:
+                colors[t] = c
+                for i in ids:
+                    code = keys[i] * n + c
+                    room[code] -= 1
+                    keys[i] = code
+                alive = place(t + 1, c if c > top else top)
+                for i in ids:
+                    code = keys[i]
+                    room[code] += 1
+                    keys[i] = (code - 1) // n
+                if not alive:
+                    return False
         return True
 
-    place(0)
+    place(0, 0)
     return results, nodes
 
 
-def _prefix_worker(args) -> list[tuple[int, ...]]:
-    shape_cells, pattern_cells, n, prefix, node_limit = args
-    shape = Polyomino(shape_cells)
-    pattern = Polyomino(pattern_cells)
-    words, _ = _run_search(shape, pattern, n, node_limit, prefix=prefix)
-    return words
+def _search_job(job) -> tuple[list[tuple[int, ...]], int]:
+    shape_cells, pattern_cells, n, node_limit, prefix, solution_cap = job
+    return _run_search(
+        Polyomino(shape_cells),
+        Polyomino(pattern_cells),
+        n,
+        node_limit,
+        prefix=prefix,
+        solution_cap=solution_cap,
+    )
+
+
+def _fan_out(jobs: list[tuple], threads: int) -> list[tuple[list[tuple[int, ...]], int]]:
+    """Run :func:`_search_job` on every job, in a process pool when
+    there are threads and jobs to share; results keep the job order."""
+    if threads <= 1 or len(jobs) <= 1:
+        return [_search_job(job) for job in jobs]
+    chunk = max(1, len(jobs) // (threads * 4))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(_search_job, jobs, chunksize=chunk))
 
 
 def _split_depth(shape: Polyomino) -> int:
@@ -195,25 +244,32 @@ def _split_depth(shape: Polyomino) -> int:
 def _search_words(
     shape: Polyomino, pattern: Polyomino, n: int, config: SearchConfig
 ) -> list[tuple[int, ...]]:
-    if config.threads <= 1:
-        words, _ = _run_search(shape, pattern, n, config.node_limit)
-        return words
+    """Canonical words of the full search, fanned out over the
+    survivors of the top two rows when ``config.threads > 1``.
+
+    The budget is global: each worker walks its prefix again, so the
+    prefix phase plus every worker's nodes beyond its prefix is exactly
+    the serial node count, and the search fails for every thread count
+    exactly when that count passes ``config.node_limit``.
+    """
+    limit = config.node_limit
     depth = _split_depth(shape)
-    prefixes, _ = _run_search(
-        shape, pattern, n, config.node_limit, depth_stop=depth
-    )
-    if depth >= len(shape.cells) or len(prefixes) <= 1:
-        if depth >= len(shape.cells):
-            return prefixes
-        words, _ = _run_search(shape, pattern, n, config.node_limit)
+    if config.threads <= 1 or depth >= len(shape.cells):
+        words, _ = _run_search(shape, pattern, n, limit)
         return words
+    prefixes, spent = _run_search(shape, pattern, n, limit, depth_stop=depth)
     jobs = [
-        (shape.cells, pattern.cells, n, pf, config.node_limit) for pf in prefixes
+        (shape.cells, pattern.cells, n, limit - spent + depth, pf, None)
+        for pf in prefixes
     ]
-    chunk = max(1, len(jobs) // (config.threads * 4))
-    with ProcessPoolExecutor(max_workers=config.threads) as pool:
-        parts = list(pool.map(_prefix_worker, jobs, chunksize=chunk))
-    return [word for part in parts for word in part]
+    try:
+        parts = _fan_out(jobs, config.threads)
+    except BudgetExceededError:
+        raise _over_budget(limit) from None
+    spent += sum(nodes - depth for _, nodes in parts)
+    if spent > limit:
+        raise _over_budget(limit)
+    return [word for words, _ in parts for word in words]
 
 
 def enumerate_prismatic_colorings(
@@ -233,9 +289,13 @@ def enumerate_prismatic_colorings(
         raise SearchError("need n >= 1")
     if len(instances_of(pattern, shape)) != n ** len(pattern.cells):
         return []
-    words = _search_words(shape, pattern, n, config)
-    order, _ = _tables(shape, pattern, n)
-    position = {cell: i for i, cell in enumerate(order)}
+    perms = list(itertools.permutations(range(1, n + 1)))
+    words = sorted(
+        tuple(p[c - 1] for c in word)
+        for word in _search_words(shape, pattern, n, config)
+        for p in perms
+    )
+    position = {cell: i for i, cell in enumerate(sorted(shape.cells, key=_row_major))}
     perm = [position[cell] for cell in shape.cells]
     return [
         ColoredPolyomino(shape, n, tuple(word[i] for i in perm)) for word in words
@@ -341,29 +401,19 @@ def _bbox_candidates(
     return out
 
 
-def _exists_worker(args) -> bool:
-    shape_cells, pattern_cells, n, node_limit = args
-    words, _ = _run_search(
-        Polyomino(shape_cells), Polyomino(pattern_cells), n, node_limit, solution_cap=1
-    )
-    return bool(words)
-
-
-def _count_worker(args) -> int:
-    shape_cells, pattern_cells, n, node_limit = args
-    words, _ = _run_search(
-        Polyomino(shape_cells), Polyomino(pattern_cells), n, node_limit
-    )
-    return len(words)
-
-
-def _map_over_candidates(worker, candidates, pattern, n, config):
-    jobs = [(s.cells, pattern.cells, n, config.node_limit) for s in candidates]
-    if config.threads <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    chunk = max(1, len(jobs) // (config.threads * 4))
-    with ProcessPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(worker, jobs, chunksize=chunk))
+def _candidate_words(
+    candidates: list[Polyomino],
+    pattern: Polyomino,
+    n: int,
+    config: SearchConfig,
+    solution_cap: int | None,
+) -> list[list[tuple[int, ...]]]:
+    """Canonical words of each candidate, one search per shape."""
+    jobs = [
+        (s.cells, pattern.cells, n, config.node_limit, (), solution_cap)
+        for s in candidates
+    ]
+    return [words for words, _ in _fan_out(jobs, config.threads)]
 
 
 def find_minimal_shapes(
@@ -379,8 +429,8 @@ def find_minimal_shapes(
     """
     config = config or SearchConfig.default()
     candidates = _bbox_candidates(pattern, n, size, bbox, config)
-    flags = _map_over_candidates(_exists_worker, candidates, pattern, n, config)
-    return [shape for shape, ok in zip(candidates, flags) if ok]
+    found = _candidate_words(candidates, pattern, n, config, solution_cap=1)
+    return [shape for shape, words in zip(candidates, found) if words]
 
 
 def shape_census(
@@ -393,8 +443,9 @@ def shape_census(
     """Like :func:`find_minimal_shapes` but with full coloring counts."""
     config = config or SearchConfig.default()
     candidates = _bbox_candidates(pattern, n, size, bbox, config)
-    counts = _map_over_candidates(_count_worker, candidates, pattern, n, config)
-    return [(shape, c) for shape, c in zip(candidates, counts) if c > 0]
+    found = _candidate_words(candidates, pattern, n, config, solution_cap=None)
+    orbit = math.factorial(n)
+    return [(shape, len(words) * orbit) for shape, words in zip(candidates, found) if words]
 
 
 def _redelmeier_witnesses(

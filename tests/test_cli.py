@@ -139,6 +139,35 @@ def test_verify_malformed_json_exit_2(capsys):
     assert err
 
 
+def test_verify_string_coordinate_exit_2(capsys):
+    doc = to_json(two_coloring(SQUARE5_SHAPE, SQUARE5_TWOS))
+    doc["cells"][0]["x"] = "a"
+    code, out, err = invoke(capsys, "verify", "--input", json.dumps(doc), "--pattern", "square")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value", [("x", 1.7), ("y", True), ("color", 1.0), ("color", "1")]
+)
+def test_render_rejects_non_integer_fields(capsys, field, value):
+    cell = {"x": 1, "y": 0, "color": 1}
+    cell[field] = value
+    doc = json.dumps({"n": 1, "cells": [cell]})
+    code, out, err = invoke(capsys, "render", "--input", doc, "--json")
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+def test_render_rejects_non_integer_n(capsys):
+    doc = json.dumps({"n": 2.5, "cells": [{"x": 0, "y": 0, "color": 1}]})
+    code, out, _ = invoke(capsys, "render", "--input", doc, "--json")
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_known_good_from_file(tmp_path, capsys):
     doc = to_json(two_coloring(SQUARE5_SHAPE, SQUARE5_TWOS))
     path = tmp_path / "coloring.json"
@@ -192,6 +221,20 @@ def test_enumerate_budget_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("limit, code", [(20_000, 3), (40_270, 3), (40_271, 0)])
+def test_enumerate_budget_is_global_across_threads(capsys, monkeypatch, limit, code):
+    # The serial search of rect:5x5 tries 40,271 colors; the two-row
+    # prefix phase tries 897 and no single worker more than 366 beyond
+    # its prefix, so only a global budget fails below 40,271.
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", str(limit))
+    args = ("enumerate", "--shape", "rect:5x5", "--pattern", "square", "--colors", "2")
+    code1, out1, _ = invoke(capsys, *args, "--threads", "1")
+    code2, out2, _ = invoke(capsys, *args, "--threads", "2")
+    assert code1 == code2 == code
+    assert out1 == out2
+    assert len(out1.splitlines()) == (800 if code == 0 else 0)
 
 
 def test_min_size_json(capsys):

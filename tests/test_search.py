@@ -1,7 +1,10 @@
 """Verifier, exhaustive coloring search, census, min-size and transport."""
 
+import itertools
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prismatic import (
@@ -22,6 +25,7 @@ from prismatic.search import (
     BudgetExceededError,
     NoWitnessError,
     SearchConfig,
+    _run_search,
     find_minimal_shapes,
 )
 from prismatic.shapes import (
@@ -282,3 +286,84 @@ def test_bar_enumeration_matches_acyclic_count(k):
     total = 2**k + k - 1
     sols = enumerate_prismatic_colorings(straight(total), straight(k), 2)
     assert len(sols) == count_acyclic(2, k)
+
+
+SMALL_PATTERNS = [straight(2), normalize([(0, 0), (0, 1)]), straight(3), LTROMINO]
+
+
+@st.composite
+def grown_shapes(draw, min_size=3, max_size=9):
+    """A polyomino grown cell by cell from the origin."""
+    cells = {(0, 0)}
+    for _ in range(draw(st.integers(min_size, max_size)) - 1):
+        frontier = sorted(
+            {(x + dx, y + dy) for x, y in cells for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+            - cells
+        )
+        cells.add(draw(st.sampled_from(frontier)))
+    return normalize(cells)
+
+
+def _fitting_pattern(shape, n):
+    """The first small pattern with exactly n**k instances in ``shape``."""
+    return next(
+        (p for p in SMALL_PATTERNS if len(instances_of(p, shape)) == n ** len(p)),
+        SMALL_PATTERNS[0],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(grown_shapes())
+@example(SHAPE_A)
+def test_search_matches_brute_force(shape):
+    pattern = _fitting_pattern(shape, 2)
+    order = sorted(range(len(shape.cells)), key=lambda i: (-shape.cells[i][1], shape.cells[i][0]))
+    expected = []
+    for word in itertools.product((1, 2), repeat=len(shape.cells)):
+        colors = [0] * len(word)
+        for i, c in zip(order, word):
+            colors[i] = c
+        colored = ColoredPolyomino(shape, 2, tuple(colors))
+        if is_debruijn_coloring(colored, pattern).valid:
+            expected.append(colored)
+    assert enumerate_prismatic_colorings(shape, pattern, 2) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(grown_shapes(max_size=12), st.integers(1, 3))
+@example(straight(10), 3)
+@example(normalize([(x, 0) for x in range(6)] + [(x, 1) for x in range(5)]), 3)
+def test_solutions_closed_under_color_permutation(shape, n):
+    pattern = _fitting_pattern(shape, n)
+    sols = enumerate_prismatic_colorings(shape, pattern, n)
+    assert len(sols) % math.factorial(n) == 0
+    found = set(sols)
+    for perm in itertools.permutations(range(1, n + 1)):
+        image = {ColoredPolyomino(s.shape, n, tuple(perm[c - 1] for c in s.colors)) for s in sols}
+        assert image == found
+
+
+@pytest.mark.parametrize(
+    "shape, pattern, count, cap",
+    [(rectangle(5, 5), SQUARE, 800, 45_000), (ziggurat(5), TEE, 168, 35_000)],
+)
+def test_search_node_count_regression(shape, pattern, count, cap):
+    # 223,978 and 238,994 nodes without the color-symmetry and
+    # prefix-count cuts; the symmetry alone halves them at n = 2.
+    words, nodes = _run_search(shape, pattern, 2, 10**9)
+    assert len(words) * 2 == count
+    assert nodes <= cap
+
+
+def test_three_color_square_ten_by_ten_exists():
+    assert has_prismatic_coloring(rectangle(10, 10), SQUARE, 3)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_node_budget_is_exact_for_every_thread_count(threads):
+    # 40,271 colors are tried on the 5x5 square, whatever the fan-out.
+    ok = SearchConfig(threads=threads, node_limit=40_271)
+    assert len(enumerate_prismatic_colorings(SQUARE5_SHAPE, SQUARE, 2, ok)) == 800
+    short = SearchConfig(threads=threads, node_limit=40_270)
+    with pytest.raises(BudgetExceededError):
+        enumerate_prismatic_colorings(SQUARE5_SHAPE, SQUARE, 2, short)
