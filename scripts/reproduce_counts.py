@@ -32,7 +32,7 @@ def main() -> int:
     parser.add_argument(
         "--skip-census",
         action="store_true",
-        help="skip the slowest step (the 13-cell shape census)",
+        help="skip the 13-cell shape census",
     )
     args = parser.parse_args()
 

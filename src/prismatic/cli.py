@@ -134,7 +134,7 @@ def _cmd_verify(args) -> int:
     if not result.valid:
         print(
             f"instances={result.instance_count} "
-            f"missing={len(result.missing)} duplicated={len(result.duplicated)}",
+            f"missing={result.missing_count} duplicated={len(result.duplicated)}",
             file=sys.stderr,
         )
         return 1

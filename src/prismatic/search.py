@@ -14,6 +14,9 @@ Two exact cuts shrink the tree:
   ``n**(k - j)`` instances may read the same first j colors (k pattern
   cells, in row-major order); a branch dies as soon as one prefix passes
   its cap, which at ``j = k`` is the duplicate check.
+
+Candidate shapes, for the census and for minimal-size witnesses, come
+from one rooted polyomino growth, :func:`_redelmeier_witnesses`.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from .lattice import (
     Vec,
     apply_lattice_map,
     instances_of,
+    normalize,
 )
 
 ENV_NODE_LIMIT = "PRISMATIC_NODE_LIMIT"
 DEFAULT_NODE_LIMIT = 200_000_000
-DEFAULT_SUBSET_LIMIT = 20_000_000
 
 
 class SearchError(Exception):
@@ -57,13 +60,12 @@ class SearchConfig:
 
     ``node_limit`` bounds color assignments tried per search call; a
     call fanned out over ``threads`` workers spends one budget, the same
-    as the serial search.  ``subset_limit`` bounds the number of
-    bounding-box subsets a shape scan may visit.
+    as the serial search.  It also bounds the cells a shape growth may
+    try.
     """
 
     threads: int = 1
     node_limit: int = DEFAULT_NODE_LIMIT
-    subset_limit: int = DEFAULT_SUBSET_LIMIT
 
     @classmethod
     def default(cls) -> "SearchConfig":
@@ -76,17 +78,24 @@ class SearchConfig:
             raise SearchError(f"{ENV_NODE_LIMIT} must be an integer, got {raw!r}") from None
 
 
+# Missing pattern colorings a VerifyResult lists; the count is exact.
+MISSING_SHOWN = 8
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of a de Bruijn check with its failure certificate.
 
-    ``missing`` lists pattern colorings (in pattern cell order) that no
-    instance realizes; ``duplicated`` pairs each repeated coloring with
-    its multiplicity.  Both stay empty on success.
+    ``missing_count`` is the number of pattern colorings that no
+    instance realizes and ``missing`` lists the lexicographically first
+    of them (in pattern cell order), at most :data:`MISSING_SHOWN`;
+    ``duplicated`` pairs each repeated coloring with its multiplicity.
+    All stay empty on success.
     """
 
     valid: bool
     instance_count: int
+    missing_count: int
     missing: tuple[tuple[int, ...], ...]
     duplicated: tuple[tuple[tuple[int, ...], int], ...]
 
@@ -95,24 +104,37 @@ class VerifyResult:
 
 
 def is_debruijn_coloring(colored: ColoredPolyomino, pattern: Polyomino) -> VerifyResult:
-    """Check whether every pattern coloring occurs exactly once."""
+    """Check whether every pattern coloring occurs exactly once.
+
+    The work grows with the shape, not with ``n**|pattern|``: the
+    missing colorings are counted, and only the first few are listed.
+    """
     n = colored.n
     counts: dict[tuple[int, ...], int] = {}
     vecs = instances_of(pattern, colored.shape)
     for vx, vy in vecs:
         word = tuple(colored.color_at((px + vx, py + vy)) for px, py in pattern.cells)
         counts[word] = counts.get(word, 0) + 1
+    missing_count = n ** len(pattern.cells) - len(counts)
+    # The product meets at most len(counts) realized words before it has
+    # found the first MISSING_SHOWN missing ones.
     missing = tuple(
-        word
-        for word in itertools.product(range(1, n + 1), repeat=len(pattern.cells))
-        if word not in counts
+        itertools.islice(
+            (
+                word
+                for word in itertools.product(range(1, n + 1), repeat=len(pattern.cells))
+                if word not in counts
+            ),
+            min(missing_count, MISSING_SHOWN),
+        )
     )
     duplicated = tuple(
         (word, c) for word, c in sorted(counts.items()) if c > 1
     )
     return VerifyResult(
-        valid=not missing and not duplicated,
+        valid=not missing_count and not duplicated,
         instance_count=len(vecs),
+        missing_count=missing_count,
         missing=missing,
         duplicated=duplicated,
     )
@@ -137,6 +159,11 @@ def _cell_table(shape: Polyomino, pattern: Polyomino):
         for px, py in pattern.cells:
             through[index[(px + vx, py + vy)]].append(i)
     return order, through
+
+
+def _need_colors(n: int) -> None:
+    if n < 1:
+        raise SearchError("need n >= 1")
 
 
 def _over_budget(node_limit: int) -> BudgetExceededError:
@@ -285,8 +312,7 @@ def enumerate_prismatic_colorings(
     admits none and yields an empty list without searching.
     """
     config = config or SearchConfig.default()
-    if n < 1:
-        raise SearchError("need n >= 1")
+    _need_colors(n)
     if len(instances_of(pattern, shape)) != n ** len(pattern.cells):
         return []
     perms = list(itertools.permutations(range(1, n + 1)))
@@ -310,33 +336,13 @@ def has_prismatic_coloring(
 ) -> bool:
     """Existence version of :func:`enumerate_prismatic_colorings`."""
     config = config or SearchConfig.default()
+    _need_colors(n)
     if len(instances_of(pattern, shape)) != n ** len(pattern.cells):
         return False
     words, _ = _run_search(
         shape, pattern, n, config.node_limit, solution_cap=1
     )
     return bool(words)
-
-
-def _mask_connected(mask: int, width: int) -> bool:
-    first = (mask & -mask).bit_length() - 1
-    seen = 1 << first
-    stack = [first]
-    while stack:
-        i = stack.pop()
-        x = i % width
-        steps = []
-        if x > 0:
-            steps.append(i - 1)
-        if x < width - 1:
-            steps.append(i + 1)
-        steps.append(i - width)
-        steps.append(i + width)
-        for j in steps:
-            if j >= 0 and (mask >> j) & 1 and not (seen >> j) & 1:
-                seen |= 1 << j
-                stack.append(j)
-    return seen == mask
 
 
 def _bbox_candidates(
@@ -346,59 +352,20 @@ def _bbox_candidates(
     bbox: tuple[int, int],
     config: SearchConfig,
 ) -> list[Polyomino]:
-    """Connected size-cell shapes in the box with exactly n**|p| instances.
-
-    Scans every size-cell subset of the box as a bitmask, cheapest
-    filters first: instance count, then canonical deduplication, then
-    connectivity.  Results are canonical and sorted.
-    """
+    """Connected size-cell shapes in the box with exactly n**|p| instances,
+    canonical and sorted, grown by :func:`_redelmeier_witnesses`."""
+    _need_colors(n)
     width, height = bbox
     if size < 1 or width < 1 or height < 1:
         raise SearchError("size and box sides must be positive")
-    total = width * height
-    if size > total:
-        return []
-    if math.comb(total, size) > config.subset_limit:
-        raise BudgetExceededError(
-            f"{math.comb(total, size)} subsets exceed the {config.subset_limit} budget"
-        )
     target = n ** len(pattern.cells)
-    vec_masks = []
-    for vy in range(height - pattern.height + 1):
-        for vx in range(width - pattern.width + 1):
-            m = 0
-            for px, py in pattern.cells:
-                m |= 1 << ((px + vx) + width * (py + vy))
-            vec_masks.append(m)
-    if len(vec_masks) < target:
+    translates = max(0, width - pattern.width + 1) * max(0, height - pattern.height + 1)
+    if size > width * height or translates < target:
         return []
-
-    forms: set[tuple[Cell, ...]] = set()
-    for comb in itertools.combinations(range(total), size):
-        m = 0
-        for b in comb:
-            m |= 1 << b
-        cnt = 0
-        for im in vec_masks:
-            if m & im == im:
-                cnt += 1
-                if cnt > target:
-                    break
-        if cnt != target:
-            continue
-        cells = [(b % width, b // width) for b in comb]
-        mx = min(x for x, _ in cells)
-        my = min(y for _, y in cells)
-        forms.add(tuple(sorted((x - mx, y - my) for x, y in cells)))
-
-    out = []
-    for form in sorted(forms):
-        mask = 0
-        for x, y in form:
-            mask |= 1 << (x + width * y)
-        if _mask_connected(mask, width):
-            out.append(Polyomino(form))
-    return out
+    shapes, _ = _redelmeier_witnesses(
+        pattern, size, bbox, target, target, config.node_limit
+    )
+    return shapes
 
 
 def _candidate_words(
@@ -449,55 +416,69 @@ def shape_census(
 
 
 def _redelmeier_witnesses(
-    pattern: Polyomino, need: int, cap: int, node_limit: int
+    pattern: Polyomino,
+    size: int,
+    box: tuple[int, int],
+    need: int,
+    most: int | None,
+    node_limit: int,
 ) -> tuple[list[Polyomino], int]:
-    """Shapes of exactly ``cap`` cells carrying >= ``need`` instances.
+    """Shapes of exactly ``size`` cells that fit a ``box`` of (W, H) cells
+    and carry ``need <= instances <= most`` pattern instances.
 
-    Canonical fixed-polyomino enumeration by rooted growth: the first
-    cell is the leftmost cell of the bottom row, candidate cells join in
-    discovery order and each is either taken or permanently skipped, so
-    every fixed polyomino of size <= cap appears exactly once.  Subtrees
-    that cannot reach ``need`` instances are cut; each new cell adds at
-    most ``|pattern|`` instances.
+    Canonical fixed-polyomino enumeration by rooted growth (Redelmeier,
+    "Counting polyominoes: yet another attack", 1981): the first cell is
+    the leftmost cell of the bottom row, candidate cells join in discovery
+    order and each is either taken or permanently skipped, so every fixed
+    polyomino appears exactly once.  Growth stays in the H rows from the
+    root's row up and within W - 1 columns either side of the root.  A
+    cell that would make the shape wider than W, or push its instance
+    count past ``most`` (no bound when None), is skipped: every superset
+    of such a shape fails the same way.  Subtrees that cannot reach
+    ``need`` instances are cut; each new cell adds at most ``|pattern|``
+    instances.  Returns the canonical shapes sorted by their cells and
+    the cells tried, which count against ``node_limit``.
     """
-    pw, ph = pattern.width, pattern.height
-    width = 2 * cap - 1 + 2 * pw
-    height = cap + 2 * ph
-    x0, y0 = pw + cap - 1, ph
-    origin = x0 + width * y0
+    width, height = box
+    gain = len(pattern.cells)
+    if most is None:
+        most = gain * size
+    x0 = width - 1
+    span = 2 * width - 1
+    # The growth region is ``height`` rows of ``span`` cells, less the
+    # cells left of the root (x0, 0); each row is followed by
+    # ``pattern.width`` blocked cells so that no step or instance wraps.
+    stride = span + pattern.width
+    total = stride * height
+    allowed = bytearray(total)
+    for y in range(height):
+        allowed[stride * y : stride * y + span] = b"\x01" * span
+    allowed[:x0] = bytes(x0)
+    cols = [i % stride for i in range(total)]
+    neighbors = [
+        tuple(j for j in (i - 1, i + 1, i - stride, i + stride) if 0 <= j < total and allowed[j])
+        for i in range(total)
+    ]
+    # completes[c]: the other cells of each instance that c can complete.
+    completes: list[list[tuple[int, ...]]] = [[] for _ in range(total)]
+    offsets = [px + stride * py for px, py in pattern.cells]
+    for v in range(total - max(offsets)):
+        cells = [v + off for off in offsets]
+        if all(map(allowed.__getitem__, cells)):
+            for i, c in enumerate(cells):
+                completes[c].append(tuple(cells[:i] + cells[i + 1 :]))
 
-    allowed = bytearray(width * height)
-    for y in range(y0, y0 + cap):
-        for x in range(pw, pw + 2 * cap - 1):
-            if y == y0 and x < x0:
-                continue
-            allowed[x + width * y] = 1
-    neighbors: list[tuple[int, ...]] = [()] * (width * height)
-    for i in range(width * height):
-        if allowed[i]:
-            neighbors[i] = tuple(
-                j for j in (i - 1, i + 1, i - width, i + width) if allowed[j]
-            )
-
-    anchor_offsets = []
-    for ax, ay in pattern.cells:
-        anchor_offsets.append(
-            tuple(
-                (px - ax) + width * (py - ay)
-                for px, py in pattern.cells
-                if (px, py) != (ax, ay)
-            )
-        )
-    maxgain = len(pattern.cells)
-
-    occupied = bytearray(width * height)
-    reached = bytearray(width * height)
+    occupied = bytearray(total)
+    reached = bytearray(total)
     stack_cells: list[int] = []
-    found: list[tuple[Cell, ...]] = []
+    found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def grow(untried: list[int], sofar: int, inst: int) -> None:
+    def grow(untried: list[int], sofar: int, inst: int, lo: int, hi: int) -> None:
         nonlocal nodes
+        last = sofar + 1 == size
+        # Fewest instances a next cell may leave and still reach ``need``.
+        floor = need - gain * (size - sofar - 1)
         while untried:
             c = untried.pop()
             nodes += 1
@@ -505,41 +486,40 @@ def _redelmeier_witnesses(
                 raise BudgetExceededError(
                     f"shape enumeration exceeded the {node_limit} node budget"
                 )
+            x = cols[c]
+            left = x if x < lo else lo
+            right = x if x > hi else hi
+            if right - left >= width:
+                continue
+            newinst = inst
+            for others in completes[c]:
+                for j in others:
+                    if not occupied[j]:
+                        break
+                else:
+                    newinst += 1
+            if not floor <= newinst <= most:
+                continue
+            if last:
+                found.append((*stack_cells, c))
+                continue
             occupied[c] = 1
             stack_cells.append(c)
-            newinst = inst
-            for offs in anchor_offsets:
-                hit = True
-                for off in offs:
-                    if not occupied[c + off]:
-                        hit = False
-                        break
-                if hit:
-                    newinst += 1
-            if sofar + 1 == cap:
-                if newinst >= need:
-                    found.append(tuple(stack_cells))
-            elif newinst + maxgain * (cap - sofar - 1) >= need:
-                fresh = []
-                for nb in neighbors[c]:
-                    if not reached[nb]:
-                        reached[nb] = 1
-                        fresh.append(nb)
-                grow(untried + fresh, sofar + 1, newinst)
-                for nb in fresh:
-                    reached[nb] = 0
+            fresh = []
+            for nb in neighbors[c]:
+                if not reached[nb]:
+                    reached[nb] = 1
+                    fresh.append(nb)
+            grow(untried + fresh, sofar + 1, newinst, left, right)
+            for nb in fresh:
+                reached[nb] = 0
             occupied[c] = 0
             stack_cells.pop()
 
-    reached[origin] = 1
-    grow([origin], 0, 0)
+    reached[x0] = 1
+    grow([x0], 0, 0, x0, x0)
 
-    shapes = []
-    for idxs in found:
-        cells = [(i % width, i // width) for i in idxs]
-        mx = min(x for x, _ in cells)
-        my = min(y for _, y in cells)
-        shapes.append(Polyomino(tuple(sorted((x - mx, y - my) for x, y in cells))))
+    shapes = [normalize((i % stride, i // stride) for i in idxs) for idxs in found]
     shapes.sort(key=lambda s: s.cells)
     return shapes, nodes
 
@@ -562,7 +542,7 @@ def min_size_with_instances(
     spent = 0
     for cap in range(len(pattern.cells), size_cap + 1):
         witnesses, nodes = _redelmeier_witnesses(
-            pattern, count, cap, config.node_limit - spent
+            pattern, cap, (cap, cap), count, None, config.node_limit - spent
         )
         spent += nodes
         if witnesses:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from prismatic import to_json
+from prismatic import instances_of, normalize, to_json
 from prismatic.cli import run
 from prismatic.shapes import LTROMINO, ziggurat
 
@@ -268,6 +268,50 @@ def test_shape_census_small(capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 1
     assert rows[0]["colorings"] == 4
+
+
+@pytest.mark.parametrize("command", ["enumerate", "shape-census"])
+@pytest.mark.parametrize("colors", ["0", "-1"])
+def test_search_commands_reject_nonpositive_colors(capsys, command, colors):
+    where = ["--shape", "rect:2x2"] if command == "enumerate" else ["--size", "3", "--bbox", "2x2"]
+    code, out, err = invoke(capsys, command, "--pattern", "ltromino", "--colors", colors, *where)
+    assert (code, out, err) == (2, "", "error: need n >= 1\n")
+
+
+CENSUS14 = ("shape-census", "--pattern", "ltromino", "--colors", "2", "--size", "14")
+
+
+def test_shape_census_budget_exit_3_for_every_thread_count(capsys, monkeypatch):
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "1000")
+    args = (*CENSUS14[:-1], "13", "--bbox", "5x5")
+    code1, out1, err1 = invoke(capsys, *args, "--threads", "1")
+    code2, out2, err2 = invoke(capsys, *args, "--threads", "2")
+    assert code1 == code2 == 3
+    assert out1 == out2 == ""
+    assert err1 == err2 == "budget exceeded: shape enumeration exceeded the 1000 node budget\n"
+
+
+def test_shape_census_six_by_six_box(capsys):
+    # C(36, 14), about 3.8e9 box subsets, is past any subset scan; shape
+    # growth tries about 1.2M cells.
+    code, out, _ = invoke(capsys, *CENSUS14, "--bbox", "6x6")
+    assert code == 0
+    lines = out.splitlines()
+    for line in lines:
+        shape = normalize((c["x"], c["y"]) for c in json.loads(line)["cells"])
+        assert shape.width <= 6 and shape.height <= 6
+        assert len(instances_of(LTROMINO, shape)) == 8
+    code, out5, _ = invoke(capsys, *CENSUS14, "--bbox", "5x5")
+    assert code == 0
+    assert len(out5.splitlines()) == 196
+    assert set(out5.splitlines()) <= set(lines)
+
+
+def test_verify_counts_missing_colorings_at_once(capsys):
+    doc = {"n": 60, "cells": [{"x": 0, "y": 0, "color": 1}, {"x": 1, "y": 0, "color": 2}]}
+    code, out, err = invoke(capsys, "verify", "--input", json.dumps(doc), "--pattern", "square")
+    assert (code, out) == (1, "de Bruijn: false\n")
+    assert err == "instances=0 missing=12960000 duplicated=0\n"
 
 
 def test_transform_row_shift(capsys):

@@ -16,17 +16,22 @@ from prismatic import (
     instance_graph,
     instances_of,
     is_acyclic_debruijn,
+    is_connected,
     is_debruijn_coloring,
     min_size_with_instances,
     normalize,
     transport_coloring,
 )
 from prismatic.search import (
+    MISSING_SHOWN,
     BudgetExceededError,
     NoWitnessError,
     SearchConfig,
+    SearchError,
+    _bbox_candidates,
     _run_search,
     find_minimal_shapes,
+    shape_census,
 )
 from prismatic.shapes import (
     ELL,
@@ -367,3 +372,79 @@ def test_node_budget_is_exact_for_every_thread_count(threads):
     short = SearchConfig(threads=threads, node_limit=40_270)
     with pytest.raises(BudgetExceededError):
         enumerate_prismatic_colorings(SQUARE5_SHAPE, SQUARE, 2, short)
+
+
+def test_verifier_lists_the_first_missing_words():
+    fig = two_coloring(SQUARE5_SHAPE, SQUARE5_TWOS)
+    flipped = tuple(3 - c if i == 0 else c for i, c in enumerate(fig.colors))
+    colored = ColoredPolyomino(fig.shape, 2, flipped)
+    res = is_debruijn_coloring(colored, SQUARE)
+    seen = {
+        tuple(colored.color_at((px + vx, py + vy)) for px, py in SQUARE.cells)
+        for vx, vy in instances_of(SQUARE, colored.shape)
+    }
+    missing = [w for w in itertools.product((1, 2), repeat=4) if w not in seen]
+    assert res.missing_count == len(missing) > 0
+    assert list(res.missing) == missing[:MISSING_SHOWN]
+
+
+def test_verifier_counts_missing_words_without_building_them():
+    # 60**4 = 12,960,000 square colorings, none realized by a domino.
+    colored = ColoredPolyomino(straight(2), 60, (1, 2))
+    res = is_debruijn_coloring(colored, SQUARE)
+    assert not res.valid
+    assert res.missing_count == 12_960_000
+    assert res.missing == tuple((1, 1, 1, c) for c in range(1, MISSING_SHOWN + 1))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_searches_reject_nonpositive_colors(n):
+    calls = [
+        lambda: enumerate_prismatic_colorings(SHAPE_A, LTROMINO, n),
+        lambda: has_prismatic_coloring(SHAPE_A, LTROMINO, n),
+        lambda: find_minimal_shapes(LTROMINO, n, 3, (2, 2)),
+        lambda: shape_census(LTROMINO, n, 3, (2, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(SearchError, match="need n >= 1"):
+            call()
+
+
+def _scan_candidates(pattern, n, size, bbox):
+    """Oracle for the census candidates: every size-cell subset of the
+    box as a bitmask, kept when it holds exactly n**|p| instances and is
+    connected."""
+    width, height = bbox
+    target = n ** len(pattern)
+    vec_masks = [
+        sum(1 << (px + vx + width * (py + vy)) for px, py in pattern.cells)
+        for vy in range(height - pattern.height + 1)
+        for vx in range(width - pattern.width + 1)
+    ]
+    forms = set()
+    for comb in itertools.combinations(range(width * height), size):
+        mask = sum(1 << b for b in comb)
+        if sum(mask & im == im for im in vec_masks) == target:
+            cells = [(b % width, b // width) for b in comb]
+            if is_connected(cells):
+                forms.add(normalize(cells))
+    return sorted(forms, key=lambda s: s.cells)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SMALL_PATTERNS),
+    st.integers(1, 2),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 16),
+)
+@example(LTROMINO, 2, 4, 4, 14)
+@example(straight(3), 2, 4, 4, 16)
+@example(SMALL_PATTERNS[1], 2, 3, 4, 8)
+@example(LTROMINO, 1, 3, 2, 4)
+def test_growth_matches_subset_scan(pattern, n, width, height, size):
+    expected = _scan_candidates(pattern, n, size, (width, height))
+    assert _bbox_candidates(pattern, n, size, (width, height), SearchConfig()) == expected
+    admitting = [s for s in expected if has_prismatic_coloring(s, pattern, n)]
+    assert find_minimal_shapes(pattern, n, size, (width, height)) == admitting
