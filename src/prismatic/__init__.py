@@ -14,22 +14,19 @@ from .debruijn import (
 from .formats import ascii_render, colored_from_json, parse_json, to_json
 from .lattice import (
     Cell,
-    ColoredPattern,
     ColoredPolyomino,
     DisconnectedError,
     EmptySetError,
     PickQuantities,
     Polyomino,
     apply_lattice_map,
-    coloring_of_instance,
-    dimensions,
     has_pinch,
+    instance_cells,
     instances_of,
     is_connected,
     normalize,
     pick_quantities,
     random_polyomino,
-    row_shift,
 )
 from .search import (
     BudgetExceededError,
@@ -63,5 +60,3 @@ from .shapes import (
     straight,
     ziggurat,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -62,9 +62,10 @@ def _bbox_arg(spec: str) -> tuple[int, int]:
 
 
 def _config(args) -> search.SearchConfig:
-    cfg = search.SearchConfig.default()
     threads = getattr(args, "threads", 1)
-    return dataclasses.replace(cfg, threads=max(1, threads))
+    if threads < 1:
+        raise search.SearchError(f"--threads must be at least 1, got {threads}")
+    return dataclasses.replace(search.SearchConfig.default(), threads=threads)
 
 
 def _emit_colored(colored, ascii_out: bool) -> None:
@@ -196,24 +197,36 @@ def _cmd_transform(args) -> int:
             image = {(x - mx, y - my): c for (x, y), c in image.items()}
         else:
             image = frozenset((x - mx, y - my) for x, y in image)
-    print(json.dumps(formats.to_json(image, n) if n is not None else formats.to_json(image)))
+    print(json.dumps(formats.to_json(image, n)))
     return 0
 
 
+# Python prints ints of at most 4300 digits, so counts from 10**4299 on
+# are refused, on their logarithm and before they are built.
+PRINT_LOG10 = 4299
+
+
 def _cmd_count(args) -> int:
+    n, k = args.colors, args.order
     if args.what == "cyclic":
-        print(debruijn.count_cyclic(args.colors, args.order))
+        log10, count = debruijn.count_log10(n, k), lambda: debruijn.count_cyclic(n, k)
     elif args.what == "acyclic":
-        print(debruijn.count_acyclic(args.colors, args.order))
+        log10 = debruijn.count_log10(n, k, cyclic=False)
+        count = lambda: debruijn.count_acyclic(n, k)
     else:
-        print(cockmod.cock_count(args.colors))
+        log10, count = cockmod.cock_count_log10(n), lambda: cockmod.cock_count(n)
+    if log10 >= PRINT_LOG10:
+        raise debruijn.TooLargeError(
+            f"the {args.what} count is at least 10**{PRINT_LOG10}, too large to print"
+        )
+    print(count())
     return 0
 
 
 def _cmd_render(args) -> int:
     cells, n = formats.parse_json(_read_doc(args.input))
     if args.json:
-        print(json.dumps(formats.to_json(cells, n) if n is not None else formats.to_json(cells)))
+        print(json.dumps(formats.to_json(cells, n)))
     else:
         print(formats.ascii_render(cells))
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .debruijn import enumerate_all_cyclic, is_cyclic_debruijn, rotated
-from .lattice import ColoredPolyomino, Vec
+from .lattice import ColoredPolyomino
 
 
 class CockError(Exception):
@@ -66,15 +66,24 @@ class CockParams:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CockParams":
-        try:
-            return cls(
-                int(doc["n"]),
-                tuple(int(s) for s in doc["r0"]),
-                int(doc["start"]),
-                tuple(int(s) for s in doc["sigma"]),
-            )
-        except KeyError as exc:
-            raise InvalidParamsError(f"missing parameter field {exc}") from None
+        """Parse a parameter object.  ``n`` and ``start`` must be JSON
+        integers and ``r0`` and ``sigma`` lists of them; bools, floats
+        and strings are rejected rather than coerced."""
+        if not isinstance(doc, dict):
+            raise InvalidParamsError("parameters must be a JSON object")
+        for key in ("n", "r0", "start", "sigma"):
+            if key not in doc:
+                raise InvalidParamsError(f"missing parameter field {key!r}")
+        for key in ("n", "start"):
+            if type(doc[key]) is not int:
+                raise InvalidParamsError(f"{key!r} must be an integer, got {doc[key]!r}")
+        for key in ("r0", "sigma"):
+            value = doc[key]
+            if not isinstance(value, list) or any(type(v) is not int for v in value):
+                raise InvalidParamsError(
+                    f"{key!r} must be a list of integers, got {value!r}"
+                )
+        return cls(doc["n"], tuple(doc["r0"]), doc["start"], tuple(doc["sigma"]))
 
 
 def rows(params: CockParams) -> list[tuple[int, ...]]:
@@ -131,17 +140,22 @@ def cock_locate(params: CockParams, w: int, x: int, y: int, z: int) -> tuple[int
     return i, j
 
 
-def locate_vector(params: CockParams, i: int, j: int) -> Vec:
-    """Translate a ``(row i, column j)`` answer into an instance vector."""
-    size = params.n * params.n
-    return (j - 1, size - i - 1)
-
-
 def cock_count(n: int) -> int:
     """Number of distinct parameter tuples: ``n!**n * (n**2)!``."""
     if n < 1:
         raise InvalidParamsError("need n >= 1")
     return math.factorial(n) ** n * math.factorial(n * n)
+
+
+def cock_count_log10(n: int) -> float:
+    """``log10`` of :func:`cock_count` from ``lgamma``, without building
+    the count; ``inf`` past the float range."""
+    if n < 1:
+        raise InvalidParamsError("need n >= 1")
+    try:
+        return (n * math.lgamma(n + 1) + math.lgamma(n * n + 1)) / math.log(10)
+    except OverflowError:
+        return math.inf
 
 
 def all_params(n: int) -> Iterator[CockParams]:

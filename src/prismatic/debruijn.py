@@ -8,7 +8,6 @@ and repeats its first ``k - 1`` symbols at the end.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -41,6 +40,21 @@ def count_acyclic(n: int, k: int) -> int:
     """Number of acyclic de Bruijn sequences."""
     _check_order(n, k)
     return math.factorial(n) ** (n ** (k - 1))
+
+
+def count_log10(n: int, k: int, cyclic: bool = True) -> float:
+    """``log10`` of :func:`count_cyclic` (or :func:`count_acyclic`),
+    from ``lgamma`` and without building the count; ``inf`` past the
+    float range.  Size guards read it: counts can have millions of
+    digits."""
+    _check_order(n, k)
+    if n == 1:
+        return 0.0
+    try:
+        log10 = float(n) ** (k - 1) * math.lgamma(n + 1) / math.log(10)
+        return log10 - k * math.log10(n) if cyclic else log10
+    except OverflowError:
+        return math.inf
 
 
 def _check_order(n: int, k: int) -> None:
@@ -208,8 +222,10 @@ def generate_cyclic(
     Eulerian circuit of the order-(k-1) transition graph.
     """
     _check_order(n, k)
-    if n**k > GENERATE_LIMIT:
-        raise TooLargeError(f"n**k = {n**k} exceeds the generation budget")
+    # Without building n**k when k settles it: for n >= 2, n**k >= 2**k
+    # passes the budget once k > 20.
+    if n > 1 and k > math.log2(GENERATE_LIMIT) or n**k > GENERATE_LIMIT:
+        raise TooLargeError(f"n**k exceeds the {GENERATE_LIMIT} generation budget")
     if method == "greedy-least":
         symbols = _lex_least_cyclic(n, k)
     elif method == "eulerian":
@@ -226,10 +242,12 @@ def enumerate_all_cyclic(n: int, k: int) -> list[DeBruijnSequence]:
     is the unique rotation starting with the all-1 window; results come
     out in lexicographic order.  Guarded by :data:`ENUMERATE_LIMIT`.
     """
-    total = count_cyclic(n, k)
-    if total > ENUMERATE_LIMIT:
+    if (
+        count_log10(n, k) > math.log10(ENUMERATE_LIMIT) + 1
+        or count_cyclic(n, k) > ENUMERATE_LIMIT
+    ):
         raise TooLargeError(
-            f"would enumerate {total} sequences, over the {ENUMERATE_LIMIT} budget"
+            f"would enumerate more than {ENUMERATE_LIMIT} sequences, over the budget"
         )
     length = n**k
     results: list[DeBruijnSequence] = []
@@ -259,19 +277,6 @@ def enumerate_all_cyclic(n: int, k: int) -> list[DeBruijnSequence]:
 
     if length == 1:
         return [DeBruijnSequence(n, k, (1,), cyclic=True)]
-    if k == 1:
-        # every arrangement of the alphabet, classes differ by rotation
-        base = tuple(range(1, n + 1))
-        reps = sorted(
-            {min(rotated(p, i) for i in range(n)) for p in itertools.permutations(base)}
-        )
-        return [DeBruijnSequence(n, 1, rep, cyclic=True) for rep in reps]
     fill(k)
     return results
 
-
-def all_rotations(seq: DeBruijnSequence) -> list[tuple[int, ...]]:
-    """The rotation class of a cyclic sequence, in rotation order."""
-    if not seq.cyclic:
-        raise SequenceError("rotations only apply to the cyclic form")
-    return [rotated(seq.symbols, i) for i in range(len(seq.symbols))]

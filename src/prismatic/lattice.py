@@ -35,10 +35,6 @@ class DisconnectedError(LatticeError):
     pass
 
 
-class NotAnInstanceError(LatticeError):
-    pass
-
-
 class UnknownMapError(LatticeError):
     pass
 
@@ -59,11 +55,6 @@ def is_connected(cells: Iterable[Cell]) -> bool:
                 todo.discard(nb)
                 queue.append(nb)
     return not todo
-
-
-def translate(cells: Iterable[Cell], vec: Vec) -> frozenset[Cell]:
-    vx, vy = vec
-    return frozenset((x + vx, y + vy) for x, y in cells)
 
 
 @dataclass(frozen=True)
@@ -124,11 +115,6 @@ def normalize(cells: Iterable[Cell]) -> Polyomino:
     return Polyomino(tuple(sorted((x - mx, y - my) for x, y in cs)))
 
 
-def dimensions(shape: Polyomino) -> tuple[int, int]:
-    """Bounding box (width, height) of a canonical polyomino."""
-    return shape.width, shape.height
-
-
 def instances_of(pattern: Polyomino, cells: Iterable[Cell]) -> list[Vec]:
     """All vectors v with ``pattern + v`` contained in ``cells``, sorted.
 
@@ -146,20 +132,28 @@ def instances_of(pattern: Polyomino, cells: Iterable[Cell]) -> list[Vec]:
     return found
 
 
-@dataclass(frozen=True)
-class ColoredPattern:
-    """A pattern shape together with one coloring of it.
+def instance_cells(pattern: Polyomino, shape: Polyomino) -> list[tuple[int, ...]]:
+    """The instance table: which cells of ``shape`` each instance covers.
 
-    ``colors[i]`` colors ``shape.cells[i]``; equal patterns mean the same
-    colored translate of the pattern.
+    One tuple per instance, in :func:`instances_of` order; entry ``i``
+    is the index in ``shape.cells`` of the cell covering
+    ``pattern.cells[i]``.
     """
-
-    shape: Polyomino
-    colors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.colors) != len(self.shape.cells):
-            raise LatticeError("one color per cell required")
+    index_of = {cell: i for i, cell in enumerate(shape.cells)}.get
+    ax, ay = pattern.cells[0]
+    offsets = [(x - ax, y - ay) for x, y in pattern.cells]
+    table = []
+    # shape.cells is sorted, so anchors come in sorted vector order.
+    for cx, cy in shape.cells:
+        ids = []
+        for dx, dy in offsets:
+            i = index_of((cx + dx, cy + dy))
+            if i is None:
+                break
+            ids.append(i)
+        else:
+            table.append(tuple(ids))
+    return table
 
 
 @dataclass(frozen=True)
@@ -177,9 +171,6 @@ class ColoredPolyomino:
             raise LatticeError("one color per cell required")
         if any(c < 1 or c > self.n for c in self.colors):
             raise LatticeError("colors must lie in 1..n")
-        object.__setattr__(
-            self, "_by_cell", dict(zip(self.shape.cells, self.colors))
-        )
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[Cell, int], n: int) -> "ColoredPolyomino":
@@ -190,32 +181,8 @@ class ColoredPolyomino:
         colors = tuple(mapping[(x + mx, y + my)] for x, y in shape.cells)
         return cls(shape, n, colors)
 
-    def color_at(self, cell: Cell) -> int:
-        return self._by_cell[cell]  # type: ignore[attr-defined]
-
     def mapping(self) -> dict[Cell, int]:
         return dict(zip(self.shape.cells, self.colors))
-
-
-def coloring_of_instance(
-    colored: ColoredPolyomino, pattern: Polyomino, vec: Vec
-) -> ColoredPattern:
-    """Restrict ``colored`` to the instance ``pattern + vec``.
-
-    The result lists colors in the canonical cell order of ``pattern``.
-    Raises :class:`NotAnInstanceError` when some cell of ``pattern + vec``
-    is missing from the shape.
-    """
-    vx, vy = vec
-    try:
-        colors = tuple(
-            colored.color_at((x + vx, y + vy)) for x, y in pattern.cells
-        )
-    except KeyError as exc:
-        raise NotAnInstanceError(
-            f"{pattern.cells} + {vec} is not contained in the shape"
-        ) from exc
-    return ColoredPattern(pattern, colors)
 
 
 @dataclass(frozen=True)
@@ -339,11 +306,6 @@ def apply_lattice_map(obj, name: str):
             (a * x + b * y, c * x + d * y): col for (x, y), col in obj.items()
         }
     return frozenset((a * x + b * y, c * x + d * y) for x, y in obj)
-
-
-def row_shift(obj):
-    """The shear (x, y) -> (x - y, y); maps each lattice row onto itself."""
-    return apply_lattice_map(obj, "row-shift")
 
 
 def has_pinch(cells: Iterable[Cell]) -> bool:

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .lattice import (
-    Cell,
     ColoredPolyomino,
     Polyomino,
     Vec,
     apply_lattice_map,
+    instance_cells,
     instances_of,
     normalize,
 )
@@ -111,9 +111,9 @@ def is_debruijn_coloring(colored: ColoredPolyomino, pattern: Polyomino) -> Verif
     """
     n = colored.n
     counts: dict[tuple[int, ...], int] = {}
-    vecs = instances_of(pattern, colored.shape)
-    for vx, vy in vecs:
-        word = tuple(colored.color_at((px + vx, py + vy)) for px, py in pattern.cells)
+    table = instance_cells(pattern, colored.shape)
+    for ids in table:
+        word = tuple([colored.colors[i] for i in ids])
         counts[word] = counts.get(word, 0) + 1
     missing_count = n ** len(pattern.cells) - len(counts)
     # The product meets at most len(counts) realized words before it has
@@ -133,32 +133,35 @@ def is_debruijn_coloring(colored: ColoredPolyomino, pattern: Polyomino) -> Verif
     )
     return VerifyResult(
         valid=not missing_count and not duplicated,
-        instance_count=len(vecs),
+        instance_count=len(table),
         missing_count=missing_count,
         missing=missing,
         duplicated=duplicated,
     )
 
 
-def _row_major(cell: Cell) -> tuple[int, int]:
-    return (-cell[1], cell[0])
+def _row_major_steps(shape: Polyomino) -> list[int]:
+    """``steps[i]``: the search step, in row-major order (top row first),
+    that colors ``shape.cells[i]``."""
+    order = sorted(shape.cells, key=lambda cell: (-cell[1], cell[0]))
+    step = {cell: t for t, cell in enumerate(order)}
+    return [step[cell] for cell in shape.cells]
 
 
-def _cell_table(shape: Polyomino, pattern: Polyomino):
-    """Assignment order plus, per step, the instances through that cell.
+def _cell_table(shape: Polyomino, pattern: Polyomino) -> list[list[int]]:
+    """Per search step, the instances through the cell it colors.
 
     A translate keeps the row-major order of the pattern's cells, so the
-    cell assigned at step ``t`` is the next uncolored cell of every
+    cell colored at step ``t`` is the next uncolored cell of every
     instance in ``through[t]``, and it is a different pattern cell, hence
     a different prefix length, for each of them.
     """
-    order = sorted(shape.cells, key=_row_major)
-    index = {c: i for i, c in enumerate(order)}
-    through: list[list[int]] = [[] for _ in order]
-    for i, (vx, vy) in enumerate(instances_of(pattern, shape)):
-        for px, py in pattern.cells:
-            through[index[(px + vx, py + vy)]].append(i)
-    return order, through
+    steps = _row_major_steps(shape)
+    through: list[list[int]] = [[] for _ in steps]
+    for inst, ids in enumerate(instance_cells(pattern, shape)):
+        for i in ids:
+            through[steps[i]].append(inst)
+    return through
 
 
 def _need_colors(n: int) -> None:
@@ -189,9 +192,9 @@ def _run_search(
     ``depth_stop`` truncates the search to partial words of that length
     and ``solution_cap`` stops after so many results.
     """
-    order, through = _cell_table(shape, pattern)
+    through = _cell_table(shape, pattern)
     k = len(pattern.cells)
-    stop = len(order) if depth_stop is None else min(depth_stop, len(order))
+    stop = len(through) if depth_stop is None else min(depth_stop, len(through))
     # A prefix of j colors is coded in bijective base n: the empty prefix
     # is 0 and appending color c maps code to code * n + c.  Each word
     # occurs once, so at most n**(k - j) instances may share a j-color
@@ -201,7 +204,7 @@ def _run_search(
         room += [n ** (k - j)] * n**j
     # keys[i] codes the colors instance i has so far.
     keys = [0] * (sum(map(len, through)) // k)
-    colors = [0] * len(order)
+    colors = [0] * len(through)
     results: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -252,13 +255,22 @@ def _search_job(job) -> tuple[list[tuple[int, ...]], int]:
     )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _fan_out(jobs: list[tuple], threads: int) -> list[tuple[list[tuple[int, ...]], int]]:
     """Run :func:`_search_job` on every job, in a process pool when
-    there are threads and jobs to share; results keep the job order."""
-    if threads <= 1 or len(jobs) <= 1:
+    there are threads, jobs and CPUs to share; results keep the job
+    order.  The pool has no more workers than jobs or usable CPUs."""
+    workers = min(threads, len(jobs), _usable_cpus())
+    if workers <= 1:
         return [_search_job(job) for job in jobs]
-    chunk = max(1, len(jobs) // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunk = max(1, len(jobs) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_search_job, jobs, chunksize=chunk))
 
 
@@ -321,10 +333,9 @@ def enumerate_prismatic_colorings(
         for word in _search_words(shape, pattern, n, config)
         for p in perms
     )
-    position = {cell: i for i, cell in enumerate(sorted(shape.cells, key=_row_major))}
-    perm = [position[cell] for cell in shape.cells]
+    steps = _row_major_steps(shape)
     return [
-        ColoredPolyomino(shape, n, tuple(word[i] for i in perm)) for word in words
+        ColoredPolyomino(shape, n, tuple(word[t] for t in steps)) for word in words
     ]
 
 
@@ -577,16 +588,18 @@ class InstanceGraph:
 
 
 def instance_graph(shape: Polyomino, pattern: Polyomino) -> InstanceGraph:
-    vecs = instances_of(pattern, shape)
-    by_cell: dict[Cell, list[int]] = {}
-    for i, (vx, vy) in enumerate(vecs):
-        for px, py in pattern.cells:
-            by_cell.setdefault((px + vx, py + vy), []).append(i)
+    table = instance_cells(pattern, shape)
+    by_cell: dict[int, list[int]] = {}
+    for inst, ids in enumerate(table):
+        for i in ids:
+            by_cell.setdefault(i, []).append(inst)
     edges = set()
     for owners in by_cell.values():
         for i, j in itertools.combinations(owners, 2):
             edges.add((i, j))
-    return InstanceGraph(tuple(vecs), tuple(sorted(edges)))
+    ax, ay = pattern.cells[0]
+    vecs = tuple((x - ax, y - ay) for x, y in (shape.cells[ids[0]] for ids in table))
+    return InstanceGraph(vecs, tuple(sorted(edges)))
 
 
 def transport_coloring(colored: ColoredPolyomino, map_name: str) -> ColoredPolyomino:

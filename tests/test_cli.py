@@ -1,12 +1,18 @@
 """Command line interface: payload on stdout, diagnostics on stderr."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prismatic import instances_of, normalize, to_json
+from prismatic import search
 from prismatic.cli import run
 from prismatic.shapes import LTROMINO, ziggurat
 
@@ -16,6 +22,8 @@ from goldens import SQUARE5_SHAPE, SQUARE5_TWOS
 PARAMS3 = json.dumps(
     {"n": 3, "r0": list(COCK3_R0), "start": 0, "sigma": list(range(1, 10))}
 )
+ENUMERATE5 = ("enumerate", "--shape", "rect:5x5", "--pattern", "square", "--colors", "2")
+CENSUS13 = ("shape-census", "--pattern", "ltromino", "--colors", "2", "--size", "13", "--bbox", "5x5")
 
 
 def invoke(capsys, *argv):
@@ -85,6 +93,34 @@ def test_cock_bad_params_exit_2(capsys):
     assert code == 2
     assert not out
     assert err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", "a"),
+        ("n", 2.9),
+        ("n", True),
+        ("start", "0"),
+        ("start", None),
+        ("r0", 5),
+        ("r0", [1, 1, 2, 2.0]),
+        ("sigma", "1234"),
+        ("sigma", [1, 2, 3, "4"]),
+    ],
+)
+def test_cock_params_must_be_real_ints(capsys, field, value):
+    doc = {"n": 2, "r0": [1, 1, 2, 2], "start": 0, "sigma": [1, 2, 3, 4]}
+    doc[field] = value
+    code, out, err = invoke(capsys, "cock", "--params", json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: '{field}' must be") and err.count("\n") == 1
+
+
+def test_cock_params_missing_field_exit_2(capsys):
+    doc = {"n": 2, "r0": [1, 1, 2, 2], "start": 0}
+    code, out, err = invoke(capsys, "cock", "--params", json.dumps(doc))
+    assert (code, out, err) == (2, "", "error: missing parameter field 'sigma'\n")
 
 
 def test_shapes_ziggurat_ascii(capsys):
@@ -206,6 +242,48 @@ def test_enumerate_emit_prints_count(tmp_path, capsys):
     assert len(outfile.read_text().splitlines()) == 8
 
 
+@pytest.mark.parametrize("args", [ENUMERATE5, CENSUS13], ids=["enumerate", "shape-census"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(capsys, args, threads):
+    code, out, err = invoke(capsys, *args, "--threads", threads)
+    assert (code, out) == (2, "")
+    assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, sizes", [(8, 3, [3, 3]), (2, 3, [2, 2]), (16, 16, [16, 9]), (8, 1, [])]
+)
+def test_pool_is_sized_from_jobs_and_cpus(capsys, monkeypatch, tmp_path, threads, cpus, sizes):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+    emit = str(tmp_path / "out.jsonl")
+    code, out, _ = invoke(capsys, *ENUMERATE5, "--emit", emit, "--threads", str(threads))
+    assert (code, out) == (0, "800\n")
+    # The 13-cell census searches 9 candidates, one job each.
+    code, out, _ = invoke(capsys, *CENSUS13, "--threads", str(threads))
+    assert code == 0 and len(out.splitlines()) == 9
+    assert RecordingPool.sizes == sizes
+
+
 def test_enumerate_threads_identical(capsys):
     args = ("enumerate", "--shape", "ziggurat:3", "--pattern", "tee", "--colors", "1")
     code1, out1, _ = invoke(capsys, *args, "--threads", "1")
@@ -322,6 +400,13 @@ def test_transform_row_shift(capsys):
     assert cells == {(1, 0), (2, 0), (0, 1)}
 
 
+def test_transform_normalize_keeps_a_disconnected_image(capsys):
+    doc = json.dumps({"cells": [{"x": 0, "y": 0}, {"x": 0, "y": 1}]})
+    code, out, _ = invoke(capsys, "transform", "--input", doc, "--map", "row-shift", "--normalize")
+    assert code == 0
+    assert json.loads(out) == {"cells": [{"x": 0, "y": 1}, {"x": 1, "y": 0}]}
+
+
 def test_transform_unknown_map_exit_2(capsys):
     doc = json.dumps(to_json(LTROMINO))
     with pytest.raises(SystemExit):
@@ -336,6 +421,36 @@ def test_count_commands(capsys):
     assert (code, out) == (0, "16\n")
     code, out, _ = invoke(capsys, "count", "cock", "-n", "3")
     assert (code, out) == (0, "78382080\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "cyclic", "-n", "7", "-k", "5"),
+        ("count", "acyclic", "-n", "7", "-k", "5"),
+        ("count", "cock", "-n", "40"),
+        ("count", "cyclic", "-n", "10", "-k", "8"),
+        ("seq", "--all", "-n", "6", "-k", "7"),
+        ("seq", "--all", "-n", "10", "-k", "8"),
+        ("seq", "-n", "2", "-k", "1000000"),
+    ],
+)
+def test_huge_counts_exit_2_at_once(capsys, argv):
+    # Each count has thousands to millions of digits; the guards read its
+    # logarithm, so none is built, printed or enumerated.
+    start = time.monotonic()
+    code, out, err = invoke(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_largest_printable_cock_count(capsys):
+    code, out, _ = invoke(capsys, "count", "cock", "-n", "33")
+    assert (code, len(out)) == (0, 4057)  # 4056 digits and a newline
+    code, _, err = invoke(capsys, "count", "cock", "-n", "34")
+    assert code == 2
+    assert "too large to print" in err
 
 
 def test_count_needs_order(capsys):
@@ -362,3 +477,93 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout == "96\n"
+
+
+# Any JSON value that is not an integer.
+NOT_INT = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+NOT_LIST = st.one_of(
+    st.none(), st.integers(), st.text(max_size=3), st.dictionaries(st.text(max_size=2), st.integers())
+)
+NOT_OBJECT = st.one_of(st.none(), st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid coloring document with one field of the wrong JSON type,
+    a missing key or a cell that is not an object."""
+    doc = to_json(two_coloring(SQUARE5_SHAPE, SQUARE5_TWOS))
+    cell = doc["cells"][draw(st.integers(0, len(doc["cells"]) - 1))]
+    kind = draw(st.sampled_from(["doc", "cells", "no cells", "cell", "field", "no field", "n"]))
+    if kind == "doc":
+        doc = draw(NOT_OBJECT)
+    elif kind == "cells":
+        doc["cells"] = draw(NOT_LIST)
+    elif kind == "no cells":
+        del doc["cells"]
+    elif kind == "cell":
+        doc["cells"][doc["cells"].index(cell)] = draw(NOT_OBJECT)
+    elif kind == "field":
+        cell[draw(st.sampled_from(["x", "y", "color"]))] = draw(NOT_INT)
+    elif kind == "no field":
+        del cell[draw(st.sampled_from(["x", "y", "color"]))]
+    else:
+        doc["n"] = draw(NOT_INT)
+    return doc
+
+
+@st.composite
+def malformed_params(draw):
+    doc = {"n": 2, "r0": [1, 1, 2, 2], "start": 0, "sigma": [1, 2, 3, 4]}
+    key = draw(st.sampled_from(sorted(doc)))
+    kind = draw(st.sampled_from(["doc", "missing", "value", "element"]))
+    if kind == "doc":
+        return draw(NOT_OBJECT)
+    if kind == "missing":
+        del doc[key]
+    elif kind == "element" and key in ("r0", "sigma"):
+        doc[key][draw(st.integers(0, 3))] = draw(NOT_INT)
+    else:
+        doc[key] = draw(NOT_LIST if key in ("r0", "sigma") else NOT_INT)
+    return doc
+
+
+def run_on_stdin(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            code = run(argv)
+        finally:
+            sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(
+                [
+                    ("verify", "--input", "-", "--pattern", "square"),
+                    ("render", "--input", "-"),
+                    ("render", "--input", "-", "--json"),
+                    ("transform", "--input", "-", "--map", "row-shift"),
+                ]
+            ),
+            malformed_documents(),
+        ),
+        st.tuples(st.just(("cock", "--params", "-")), malformed_params()),
+    )
+)
+def test_malformed_documents_exit_2_with_one_line(case):
+    argv, doc = case
+    code, out, err = run_on_stdin(list(argv), json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

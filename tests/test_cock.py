@@ -21,7 +21,6 @@ from prismatic.cock import (
     CockParams,
     InvalidColorError,
     InvalidParamsError,
-    locate_vector,
     rows,
 )
 from prismatic.shapes import SQUARE
@@ -109,7 +108,7 @@ def test_locate_vector_inverts_locate():
     m = grid.mapping()
     for w, x, y, z in itertools.product((1, 2), repeat=4):
         i, j = cock_locate(params, w, x, y, z)
-        vx, vy = locate_vector(params, i, j)
+        vx, vy = j - 1, params.n * params.n - i - 1
         assert (m[(vx, vy + 1)], m[(vx + 1, vy + 1)], m[(vx, vy)], m[(vx + 1, vy)]) == (
             w,
             x,

@@ -74,7 +74,7 @@ def test_colored_from_json_normalizes():
     }
     cp = colored_from_json(doc)
     assert cp.shape.cells == ((0, 0), (1, 0))
-    assert cp.color_at((0, 0)) == 2
+    assert cp.mapping()[(0, 0)] == 2
 
 
 def test_ascii_render_golden_grid():

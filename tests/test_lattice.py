@@ -10,24 +10,20 @@ from prismatic import (
     ColoredPolyomino,
     Polyomino,
     apply_lattice_map,
-    coloring_of_instance,
-    dimensions,
     has_pinch,
+    instance_cells,
     instances_of,
     is_connected,
     normalize,
     pick_quantities,
     random_polyomino,
-    row_shift,
 )
 from prismatic.lattice import (
     DisconnectedError,
     EmptySetError,
     LATTICE_MAPS,
     LatticeError,
-    NotAnInstanceError,
     UnknownMapError,
-    translate,
 )
 from prismatic.shapes import LTROMINO, SQUARE, TEE, rectangle, straight, ziggurat
 
@@ -80,14 +76,9 @@ def test_constructor_requires_canonical_cells():
 
 def test_dimensions_and_len():
     p = normalize([(0, 0), (1, 0), (2, 0), (2, 1)])
-    assert dimensions(p) == (3, 2)
     assert (p.width, p.height) == (3, 2)
     assert len(p) == 4
     assert (2, 1) in p
-
-
-def test_translate():
-    assert translate([(0, 0), (1, 0)], (2, -1)) == frozenset({(2, -1), (3, -1)})
 
 
 def test_square_instances_in_square_grid():
@@ -106,25 +97,20 @@ def test_straight_instances_count():
 
 def test_instance_vectors_are_actual_translates():
     shape = ziggurat(3)
-    for v in instances_of(TEE, shape):
-        assert translate(TEE.cells, v) <= shape.cell_set
+    for vx, vy in instances_of(TEE, shape):
+        assert {(x + vx, y + vy) for x, y in TEE.cells} <= shape.cell_set
 
 
 def test_pattern_not_present():
     assert instances_of(SQUARE, straight(9)) == []
 
 
-def test_coloring_of_instance_reads_pattern_order():
+def test_instance_cells_reads_pattern_order():
     fig = two_coloring(SQUARE5_SHAPE, SQUARE5_TWOS)
-    word = coloring_of_instance(fig, SQUARE, (0, 3))
-    assert word.colors == (1, 2, 2, 1)
-    assert word.shape == SQUARE
-
-
-def test_coloring_of_instance_rejects_bad_vector():
-    fig = two_coloring(SQUARE5_SHAPE, SQUARE5_TWOS)
-    with pytest.raises(NotAnInstanceError):
-        coloring_of_instance(fig, SQUARE, (4, 4))
+    table = instance_cells(SQUARE, fig.shape)
+    ids = table[instances_of(SQUARE, fig.shape).index((0, 3))]
+    assert [fig.shape.cells[i] for i in ids] == [(0, 3), (0, 4), (1, 3), (1, 4)]
+    assert tuple(fig.colors[i] for i in ids) == (1, 2, 2, 1)
 
 
 def test_colored_polyomino_validation():
@@ -137,7 +123,6 @@ def test_colored_polyomino_validation():
 def test_colored_from_mapping_normalizes():
     cp = ColoredPolyomino.from_mapping({(5, 5): 1, (6, 5): 2}, 2)
     assert cp.shape.cells == ((0, 0), (1, 0))
-    assert cp.color_at((1, 0)) == 2
     assert cp.mapping() == {(0, 0): 1, (1, 0): 2}
 
 
@@ -209,7 +194,8 @@ def test_interior_equals_square_instances(p):
 @settings(max_examples=200, deadline=None)
 @given(random_shapes(), st.integers(-7, 7), st.integers(-7, 7))
 def test_pick_quantities_translation_invariant(p, dx, dy):
-    assert pick_quantities(translate(p.cells, (dx, dy))) == pick_quantities(p.cells)
+    moved = [(x + dx, y + dy) for x, y in p.cells]
+    assert pick_quantities(moved) == pick_quantities(p.cells)
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,18 +221,18 @@ def test_unknown_lattice_map_rejected():
 def test_row_shift_of_square_is_zee():
     from prismatic.shapes import ZEE
 
-    assert normalize(row_shift(SQUARE.cell_set)) == ZEE
+    assert normalize(apply_lattice_map(SQUARE.cell_set, "row-shift")) == ZEE
 
 
 def test_row_shift_of_tee_is_ell():
     from prismatic.shapes import ELL
 
-    assert normalize(row_shift(TEE.cell_set)) == ELL
+    assert normalize(apply_lattice_map(TEE.cell_set, "row-shift")) == ELL
 
 
 def test_row_shift_fixes_rows():
     cells = ziggurat(4).cell_set
-    shifted = row_shift(cells)
+    shifted = apply_lattice_map(cells, "row-shift")
     for y in range(4):
         assert sum(1 for _, cy in cells if cy == y) == sum(
             1 for _, cy in shifted if cy == y

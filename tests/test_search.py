@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from prismatic import (
     count_acyclic,
     enumerate_prismatic_colorings,
     has_prismatic_coloring,
+    instance_cells,
     instance_graph,
     instances_of,
     is_acyclic_debruijn,
@@ -20,6 +22,7 @@ from prismatic import (
     is_debruijn_coloring,
     min_size_with_instances,
     normalize,
+    random_polyomino,
     transport_coloring,
 )
 from prismatic.search import (
@@ -309,6 +312,17 @@ def grown_shapes(draw, min_size=3, max_size=9):
     return normalize(cells)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.sampled_from(SMALL_PATTERNS + [SQUARE, TEE]))
+def test_instance_cells_agree_with_instances_of(seed, size, pattern):
+    shape = random_polyomino(random.Random(seed), size)
+    table = instance_cells(pattern, shape)
+    vecs = instances_of(pattern, shape)
+    assert len(table) == len(vecs)
+    for ids, (vx, vy) in zip(table, vecs):
+        assert [shape.cells[i] for i in ids] == [(x + vx, y + vy) for x, y in pattern.cells]
+
+
 def _fitting_pattern(shape, n):
     """The first small pattern with exactly n**k instances in ``shape``."""
     return next(
@@ -379,8 +393,9 @@ def test_verifier_lists_the_first_missing_words():
     flipped = tuple(3 - c if i == 0 else c for i, c in enumerate(fig.colors))
     colored = ColoredPolyomino(fig.shape, 2, flipped)
     res = is_debruijn_coloring(colored, SQUARE)
+    color = colored.mapping()
     seen = {
-        tuple(colored.color_at((px + vx, py + vy)) for px, py in SQUARE.cells)
+        tuple(color[(px + vx, py + vy)] for px, py in SQUARE.cells)
         for vx, vy in instances_of(SQUARE, colored.shape)
     }
     missing = [w for w in itertools.product((1, 2), repeat=4) if w not in seen]
