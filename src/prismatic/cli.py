@@ -18,12 +18,17 @@ from . import debruijn, formats, lattice, search, shapes
 
 def _read_doc(spec: str) -> dict:
     """Load a JSON document from a path, inline text or stdin ('-')."""
-    if spec == "-":
-        return json.load(sys.stdin)
-    if spec.lstrip().startswith("{"):
-        return json.loads(spec)
-    with open(spec) as fh:
-        return json.load(fh)
+    try:
+        if spec == "-":
+            return json.load(sys.stdin)
+        if spec.lstrip().startswith("{"):
+            return json.loads(spec)
+        with open(spec) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer past Python's digit limit, or not UTF-8
+        raise lattice.LatticeError(f"unreadable JSON: {exc}") from None
 
 
 def _pattern_arg(spec: str) -> lattice.Polyomino:
@@ -279,7 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--emit", help="write JSONL here and print the count instead")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted; enumerate searches one shape in one process",
+    )
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("min-size", help="smallest shape carrying N pattern instances")

@@ -82,11 +82,17 @@ def colored_from_json(doc: dict) -> ColoredPolyomino:
     return ColoredPolyomino.from_mapping(mapping, n)
 
 
+# Most grid positions (bounding box width times height) an ASCII
+# rendering may print; the 10x10 cock grid for n = 3 uses 100.
+ASCII_CELL_LIMIT = 10**6
+
+
 def ascii_render(obj, empty: str = ".") -> str:
     """ASCII grid of a shape or coloring, top lattice row first.
 
     Colored cells print their color digit (colors above 9 are rejected),
-    uncolored cells print ``#``.
+    uncolored cells print ``#``.  Grids of more than
+    :data:`ASCII_CELL_LIMIT` positions are rejected.
     """
     if isinstance(obj, ColoredPolyomino):
         mapping: Mapping[Cell, int] | None = obj.mapping()
@@ -104,10 +110,17 @@ def ascii_render(obj, empty: str = ".") -> str:
         raise LatticeError("ASCII rendering supports colors 1..9 only")
     xs = [x for x, _ in cells]
     ys = [y for _, y in cells]
+    left, top = min(xs), max(ys)
+    width, height = max(xs) - left + 1, top - min(ys) + 1
+    if width * height > ASCII_CELL_LIMIT:
+        raise LatticeError(
+            f"a {width}x{height} grid is too large to render as ASCII "
+            f"(at most {ASCII_CELL_LIMIT} positions)"
+        )
     lines = []
-    for y in range(max(ys), min(ys) - 1, -1):
+    for y in range(top, top - height, -1):
         row = []
-        for x in range(min(xs), max(xs) + 1):
+        for x in range(left, left + width):
             if mapping is not None:
                 row.append(str(mapping[(x, y)]) if (x, y) in mapping else empty)
             else:

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import bisect
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -341,21 +342,28 @@ def random_polyomino(rng: random.Random, size: int) -> Polyomino:
     """
     if size < 1:
         raise EmptySetError("size must be positive")
+
+    def is_safe(x: int, y: int) -> bool:
+        for dx in (-1, 1):
+            for dy in (-1, 1):
+                if (
+                    (x + dx, y + dy) in cells
+                    and (x + dx, y) not in cells
+                    and (x, y + dy) not in cells
+                ):
+                    return False
+        return True
+
     cells = {(0, 0)}
     frontier = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    # The safe frontier cells, sorted.  A pick changes the cells and the
+    # frontier only inside the 3x3 block around it, and safety reads only
+    # a cell's 3x3 block, so only the frontier cells of that block are
+    # tested again.
+    safe = sorted(frontier)
     while len(cells) < size:
-        safe = [
-            (x, y)
-            for x, y in sorted(frontier)
-            if not any(
-                (x + dx, y + dy) in cells
-                and (x + dx, y) not in cells
-                and (x, y + dy) not in cells
-                for dx in (-1, 1)
-                for dy in (-1, 1)
-            )
-        ]
         pick = rng.choice(safe)
+        del safe[bisect.bisect_left(safe, pick)]
         cells.add(pick)
         frontier.discard(pick)
         x, y = pick
@@ -363,4 +371,13 @@ def random_polyomino(rng: random.Random, size: int) -> Polyomino:
             nb = (x + dx, y + dy)
             if nb not in cells:
                 frontier.add(nb)
+        for cell in [(x + dx, y + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]:
+            if cell in frontier:
+                i = bisect.bisect_left(safe, cell)
+                listed = i < len(safe) and safe[i] == cell
+                if is_safe(*cell) != listed:
+                    if listed:
+                        del safe[i]
+                    else:
+                        safe.insert(i, cell)
     return normalize(cells)

@@ -17,6 +17,7 @@ Two exact cuts shrink the tree:
 
 Candidate shapes, for the census and for minimal-size witnesses, come
 from one rooted polyomino growth, :func:`_redelmeier_witnesses`.
+The unit of parallel work is one shape's search (:func:`_fan_out`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .lattice import (
     ColoredPolyomino,
@@ -34,7 +35,6 @@ from .lattice import (
     Vec,
     apply_lattice_map,
     instance_cells,
-    instances_of,
     normalize,
 )
 
@@ -58,10 +58,10 @@ class NoWitnessError(SearchError):
 class SearchConfig:
     """Shared search knobs.
 
-    ``node_limit`` bounds color assignments tried per search call; a
-    call fanned out over ``threads`` workers spends one budget, the same
-    as the serial search.  It also bounds the cells a shape growth may
-    try.
+    ``threads`` is how many processes share the shape searches of a
+    census; one shape is always searched in one process.  ``node_limit``
+    bounds the color assignments one shape's search may try, whatever
+    ``threads`` is, and the cells a shape growth may try.
     """
 
     threads: int = 1
@@ -169,17 +169,11 @@ def _need_colors(n: int) -> None:
         raise SearchError("need n >= 1")
 
 
-def _over_budget(node_limit: int) -> BudgetExceededError:
-    return BudgetExceededError(f"search exceeded the {node_limit} node budget")
-
-
 def _run_search(
     shape: Polyomino,
     pattern: Polyomino,
     n: int,
     node_limit: int,
-    prefix: Sequence[int] = (),
-    depth_stop: int | None = None,
     solution_cap: int | None = None,
 ) -> tuple[list[tuple[int, ...]], int]:
     """Backtracking core; returns (canonical words, nodes tried).
@@ -188,13 +182,14 @@ def _run_search(
     and canonical: color c + 1 never appears before color c.  With
     exactly ``n**|pattern|`` instances every solution uses all n colors,
     so each solution is one color permutation of exactly one canonical
-    word.  ``prefix`` pins the first assignments (still checked),
-    ``depth_stop`` truncates the search to partial words of that length
-    and ``solution_cap`` stops after so many results.
+    word; a shape with any other instance count admits none and returns
+    ``([], 0)`` without searching.  ``solution_cap`` stops after so many
+    results.
     """
     through = _cell_table(shape, pattern)
     k = len(pattern.cells)
-    stop = len(through) if depth_stop is None else min(depth_stop, len(through))
+    if sum(map(len, through)) != k * n**k:
+        return [], 0
     # A prefix of j colors is coded in bijective base n: the empty prefix
     # is 0 and appending color c maps code to code * n + c.  Each word
     # occurs once, so at most n**(k - j) instances may share a j-color
@@ -203,22 +198,23 @@ def _run_search(
     for j in range(k + 1):
         room += [n ** (k - j)] * n**j
     # keys[i] codes the colors instance i has so far.
-    keys = [0] * (sum(map(len, through)) // k)
+    keys = [0] * n**k
     colors = [0] * len(through)
     results: list[tuple[int, ...]] = []
     nodes = 0
 
     def place(t: int, top: int) -> bool:
         nonlocal nodes
-        if t == stop:
-            results.append(tuple(colors[:stop]))
+        if t == len(through):
+            results.append(tuple(colors))
             return solution_cap is None or len(results) < solution_cap
-        choices = (prefix[t],) if t < len(prefix) else range(1, min(n, top + 1) + 1)
         ids = through[t]
-        for c in choices:
+        for c in range(1, min(n, top + 1) + 1):
             nodes += 1
             if nodes > node_limit:
-                raise _over_budget(node_limit)
+                raise BudgetExceededError(
+                    f"search exceeded the {node_limit} node budget"
+                )
             # Prefixes of different lengths never share a code, so no two
             # instances in ``ids`` draw on the same room entry.
             for i in ids:
@@ -244,14 +240,9 @@ def _run_search(
 
 
 def _search_job(job) -> tuple[list[tuple[int, ...]], int]:
-    shape_cells, pattern_cells, n, node_limit, prefix, solution_cap = job
+    shape_cells, pattern_cells, n, node_limit, solution_cap = job
     return _run_search(
-        Polyomino(shape_cells),
-        Polyomino(pattern_cells),
-        n,
-        node_limit,
-        prefix=prefix,
-        solution_cap=solution_cap,
+        Polyomino(shape_cells), Polyomino(pattern_cells), n, node_limit, solution_cap
     )
 
 
@@ -274,43 +265,6 @@ def _fan_out(jobs: list[tuple], threads: int) -> list[tuple[list[tuple[int, ...]
         return list(pool.map(_search_job, jobs, chunksize=chunk))
 
 
-def _split_depth(shape: Polyomino) -> int:
-    rows = sorted({y for _, y in shape.cells}, reverse=True)
-    top = set(rows[:2])
-    return sum(1 for _, y in shape.cells if y in top)
-
-
-def _search_words(
-    shape: Polyomino, pattern: Polyomino, n: int, config: SearchConfig
-) -> list[tuple[int, ...]]:
-    """Canonical words of the full search, fanned out over the
-    survivors of the top two rows when ``config.threads > 1``.
-
-    The budget is global: each worker walks its prefix again, so the
-    prefix phase plus every worker's nodes beyond its prefix is exactly
-    the serial node count, and the search fails for every thread count
-    exactly when that count passes ``config.node_limit``.
-    """
-    limit = config.node_limit
-    depth = _split_depth(shape)
-    if config.threads <= 1 or depth >= len(shape.cells):
-        words, _ = _run_search(shape, pattern, n, limit)
-        return words
-    prefixes, spent = _run_search(shape, pattern, n, limit, depth_stop=depth)
-    jobs = [
-        (shape.cells, pattern.cells, n, limit - spent + depth, pf, None)
-        for pf in prefixes
-    ]
-    try:
-        parts = _fan_out(jobs, config.threads)
-    except BudgetExceededError:
-        raise _over_budget(limit) from None
-    spent += sum(nodes - depth for _, nodes in parts)
-    if spent > limit:
-        raise _over_budget(limit)
-    return [word for words, _ in parts for word in words]
-
-
 def enumerate_prismatic_colorings(
     shape: Polyomino,
     pattern: Polyomino,
@@ -325,14 +279,9 @@ def enumerate_prismatic_colorings(
     """
     config = config or SearchConfig.default()
     _need_colors(n)
-    if len(instances_of(pattern, shape)) != n ** len(pattern.cells):
-        return []
+    found, _ = _run_search(shape, pattern, n, config.node_limit)
     perms = list(itertools.permutations(range(1, n + 1)))
-    words = sorted(
-        tuple(p[c - 1] for c in word)
-        for word in _search_words(shape, pattern, n, config)
-        for p in perms
-    )
+    words = sorted(tuple(p[c - 1] for c in word) for word in found for p in perms)
     steps = _row_major_steps(shape)
     return [
         ColoredPolyomino(shape, n, tuple(word[t] for t in steps)) for word in words
@@ -348,11 +297,7 @@ def has_prismatic_coloring(
     """Existence version of :func:`enumerate_prismatic_colorings`."""
     config = config or SearchConfig.default()
     _need_colors(n)
-    if len(instances_of(pattern, shape)) != n ** len(pattern.cells):
-        return False
-    words, _ = _run_search(
-        shape, pattern, n, config.node_limit, solution_cap=1
-    )
+    words, _ = _run_search(shape, pattern, n, config.node_limit, solution_cap=1)
     return bool(words)
 
 
@@ -388,7 +333,7 @@ def _candidate_words(
 ) -> list[list[tuple[int, ...]]]:
     """Canonical words of each candidate, one search per shape."""
     jobs = [
-        (s.cells, pattern.cells, n, config.node_limit, (), solution_cap)
+        (s.cells, pattern.cells, n, config.node_limit, solution_cap)
         for s in candidates
     ]
     return [words for words, _ in _fan_out(jobs, config.threads)]

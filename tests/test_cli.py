@@ -269,7 +269,7 @@ class RecordingPool:
 
 
 @pytest.mark.parametrize(
-    "threads, cpus, sizes", [(8, 3, [3, 3]), (2, 3, [2, 2]), (16, 16, [16, 9]), (8, 1, [])]
+    "threads, cpus, sizes", [(8, 3, [3]), (2, 3, [2]), (16, 16, [9]), (8, 1, [])]
 )
 def test_pool_is_sized_from_jobs_and_cpus(capsys, monkeypatch, tmp_path, threads, cpus, sizes):
     monkeypatch.setattr(RecordingPool, "sizes", [])
@@ -278,6 +278,8 @@ def test_pool_is_sized_from_jobs_and_cpus(capsys, monkeypatch, tmp_path, threads
     emit = str(tmp_path / "out.jsonl")
     code, out, _ = invoke(capsys, *ENUMERATE5, "--emit", emit, "--threads", str(threads))
     assert (code, out) == (0, "800\n")
+    # enumerate searches its one shape in this process.
+    assert RecordingPool.sizes == []
     # The 13-cell census searches 9 candidates, one job each.
     code, out, _ = invoke(capsys, *CENSUS13, "--threads", str(threads))
     assert code == 0 and len(out.splitlines()) == 9
@@ -303,9 +305,9 @@ def test_enumerate_budget_exit_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("limit, code", [(20_000, 3), (40_270, 3), (40_271, 0)])
 def test_enumerate_budget_is_global_across_threads(capsys, monkeypatch, limit, code):
-    # The serial search of rect:5x5 tries 40,271 colors; the two-row
-    # prefix phase tries 897 and no single worker more than 366 beyond
-    # its prefix, so only a global budget fails below 40,271.
+    # The search of rect:5x5 tries 40,271 colors.  enumerate runs it in
+    # one process for every --threads, so the budget fails below 40,271
+    # and passes at it whatever the thread count.
     monkeypatch.setenv("PRISMATIC_NODE_LIMIT", str(limit))
     args = ("enumerate", "--shape", "rect:5x5", "--pattern", "square", "--colors", "2")
     code1, out1, _ = invoke(capsys, *args, "--threads", "1")
@@ -565,5 +567,34 @@ def run_on_stdin(argv, text):
 def test_malformed_documents_exit_2_with_one_line(case):
     argv, doc = case
     code, out, err = run_on_stdin(list(argv), json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("verify", "--input", "-", "--pattern", "square"),
+         '{"n": 2, "cells": [{"x": ' + HUGE + ', "y": 0, "color": 1}]}'),
+        (("render", "--input", "-"), '{"cells": [{"x": ' + HUGE + ', "y": 0}]}'),
+        (("cock", "--params", "-"),
+         '{"n": ' + HUGE + ', "r0": [1], "start": 0, "sigma": [1]}'),
+    ],
+    ids=["verify", "render", "cock"],
+)
+def test_huge_json_integer_exit_2_with_one_line(argv, text):
+    code, out, err = run_on_stdin(list(argv), text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_ascii_render_refuses_a_huge_grid_at_once(capsys):
+    doc = json.dumps({"cells": [{"x": 0, "y": 0}, {"x": 3_000_000_000, "y": 0}]})
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "render", "--input", doc)
+    assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -213,6 +213,42 @@ def test_random_polyomino_deterministic_per_seed():
     assert a == b
 
 
+def _random_polyomino_rebuilt(rng, size):
+    """Reference growth: rebuilds the sorted safe-cell list every step."""
+    cells = {(0, 0)}
+    frontier = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    while len(cells) < size:
+        safe = [
+            (x, y)
+            for x, y in sorted(frontier)
+            if not any(
+                (x + dx, y + dy) in cells
+                and (x + dx, y) not in cells
+                and (x, y + dy) not in cells
+                for dx in (-1, 1)
+                for dy in (-1, 1)
+            )
+        ]
+        pick = rng.choice(safe)
+        cells.add(pick)
+        frontier.discard(pick)
+        x, y = pick
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nb = (x + dx, y + dy)
+            if nb not in cells:
+                frontier.add(nb)
+    return normalize(cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_random_polyomino_matches_rebuilt_reference(seed, size):
+    fast, slow = random.Random(seed), random.Random(seed)
+    assert random_polyomino(fast, size) == _random_polyomino_rebuilt(slow, size)
+    # The same draws were made, so a shared stream stays in step.
+    assert fast.getstate() == slow.getstate()
+
+
 def test_unknown_lattice_map_rejected():
     with pytest.raises(UnknownMapError):
         apply_lattice_map({(0, 0)}, "rotate-90")

@@ -260,6 +260,17 @@ def test_bijection_check_small():
     assert bijection_check("skew-rotate", sols, LTROMINO, LTROMINO)
 
 
+def test_transpose_carries_square_solutions_onto_square_solutions():
+    # transpose fixes SQUARE and the 5x5 box, so it permutes the 800
+    # colorings of rect:5x5 among themselves
+    sols = enumerate_prismatic_colorings(rectangle(5, 5), SQUARE, 2)
+    assert len(sols) == 800
+    images = [transport_coloring(c, "transpose") for c in sols]
+    assert set(images) == set(sols)
+    assert images != sols
+    assert bijection_check("transpose", sols, SQUARE, SQUARE)
+
+
 def test_find_minimal_shapes_positive():
     # one color: a shape qualifies iff it has exactly one instance
     assert find_minimal_shapes(SQUARE, 1, 4, (2, 2)) == [SQUARE]
