@@ -42,17 +42,28 @@ def _pattern_arg(spec: str) -> lattice.Polyomino:
     return lattice.normalize(cells)
 
 
+# Most digits a number in a shape, box or trim spec may have: a box only
+# bounds its shapes and a family shape stops at 10**6 cells.
+SPEC_DIGITS = 9
+
+
+def _spec_int(text: str) -> int:
+    """A number of a shape, box or trim spec.  ASCII digits only:
+    str.isdigit also accepts digits such as '²' that int() refuses."""
+    if not (text.isascii() and text.isdigit()) or len(text) > SPEC_DIGITS:
+        raise shapes.ShapeError(f"bad number {text!r}, want 1 to {SPEC_DIGITS} ASCII digits")
+    return int(text)
+
+
 def _shape_arg(spec: str) -> lattice.Polyomino:
     """A shape from a family spec (rect:5x5, ziggurat:5, pyramid:4) or JSON."""
     head, _, tail = spec.partition(":")
     if head == "rect" and tail:
-        w, _, h = tail.partition("x")
-        if w.isdigit() and h.isdigit():
-            return shapes.rectangle(int(w), int(h))
-    if head == "ziggurat" and tail.isdigit():
-        return shapes.ziggurat(int(tail))
-    if head == "pyramid" and tail.isdigit():
-        return shapes.pyramid(int(tail))
+        return shapes.rectangle(*_bbox_arg(tail))
+    if head == "ziggurat" and tail:
+        return shapes.ziggurat(_spec_int(tail))
+    if head == "pyramid" and tail:
+        return shapes.pyramid(_spec_int(tail))
     try:
         return _pattern_arg(spec)
     except (OSError, json.JSONDecodeError):
@@ -60,10 +71,10 @@ def _shape_arg(spec: str) -> lattice.Polyomino:
 
 
 def _bbox_arg(spec: str) -> tuple[int, int]:
-    w, _, h = spec.partition("x")
-    if not (w.isdigit() and h.isdigit()):
-        raise search.SearchError(f"bad bounding box {spec!r}, want WxH")
-    return int(w), int(h)
+    w, x, h = spec.partition("x")
+    if not x:
+        raise search.SearchError(f"want WxH, got {spec!r}")
+    return _spec_int(w), _spec_int(h)
 
 
 def _config(args) -> search.SearchConfig:
@@ -106,20 +117,13 @@ def _cmd_cock(args) -> int:
 
 
 def _cmd_shapes(args) -> int:
-    if args.family == "rect":
-        shape = shapes.rectangle(*_bbox_arg(args.size))
-    elif not args.size.isdigit():
-        raise shapes.ShapeError(f"{args.family} wants an integer size, got {args.size!r}")
-    elif args.family == "ziggurat":
-        shape = shapes.ziggurat(int(args.size))
+    if args.family == "pyramid" and args.trim:
+        corner, _, k = args.trim.rpartition(":")
+        if not corner:
+            raise shapes.BadTrimError(f"bad trim spec {args.trim!r}, want CORNER:K")
+        shape = shapes.pyramid_trimmed(_spec_int(args.size), corner, _spec_int(k))
     else:
-        if args.trim:
-            corner, _, k = args.trim.rpartition(":")
-            if not corner or not k.lstrip("-").isdigit():
-                raise shapes.BadTrimError(f"bad trim spec {args.trim!r}, want CORNER:K")
-            shape = shapes.pyramid_trimmed(int(args.size), corner, int(k))
-        else:
-            shape = shapes.pyramid(int(args.size))
+        shape = _shape_arg(f"{args.family}:{args.size}")
     if args.ascii:
         print(formats.ascii_render(shape))
     else:

@@ -87,11 +87,11 @@ def colored_from_json(doc: dict) -> ColoredPolyomino:
 ASCII_CELL_LIMIT = 10**6
 
 
-def ascii_render(obj, empty: str = ".") -> str:
+def ascii_render(obj) -> str:
     """ASCII grid of a shape or coloring, top lattice row first.
 
     Colored cells print their color digit (colors above 9 are rejected),
-    uncolored cells print ``#``.  Grids of more than
+    uncolored cells print ``#`` and absent cells ``.``.  Grids of more than
     :data:`ASCII_CELL_LIMIT` positions are rejected.
     """
     if isinstance(obj, ColoredPolyomino):
@@ -117,13 +117,8 @@ def ascii_render(obj, empty: str = ".") -> str:
             f"a {width}x{height} grid is too large to render as ASCII "
             f"(at most {ASCII_CELL_LIMIT} positions)"
         )
-    lines = []
-    for y in range(top, top - height, -1):
-        row = []
-        for x in range(left, left + width):
-            if mapping is not None:
-                row.append(str(mapping[(x, y)]) if (x, y) in mapping else empty)
-            else:
-                row.append("#" if (x, y) in cells else empty)
-        lines.append("".join(row))
-    return "\n".join(lines)
+    glyphs = mapping if mapping is not None else dict.fromkeys(cells, "#")
+    return "\n".join(
+        "".join(str(glyphs.get((x, y), ".")) for x in range(left, left + width))
+        for y in range(top, top - height, -1)
+    )

@@ -16,18 +16,19 @@ Two exact cuts shrink the tree:
   its cap, which at ``j = k`` is the duplicate check.
 
 Candidate shapes, for the census and for minimal-size witnesses, come
-from one rooted polyomino growth, :func:`_redelmeier_witnesses`.
-The unit of parallel work is one shape's search (:func:`_fan_out`).
+from one rooted polyomino growth, :func:`_redelmeier_witnesses`.  The
+unit of fan-out (:func:`_fan_out`) is one shape, searched whole.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .lattice import (
     ColoredPolyomino,
@@ -239,13 +240,6 @@ def _run_search(
     return results, nodes
 
 
-def _search_job(job) -> tuple[list[tuple[int, ...]], int]:
-    shape_cells, pattern_cells, n, node_limit, solution_cap = job
-    return _run_search(
-        Polyomino(shape_cells), Polyomino(pattern_cells), n, node_limit, solution_cap
-    )
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -253,16 +247,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fan_out(jobs: list[tuple], threads: int) -> list[tuple[list[tuple[int, ...]], int]]:
-    """Run :func:`_search_job` on every job, in a process pool when
-    there are threads, jobs and CPUs to share; results keep the job
-    order.  The pool has no more workers than jobs or usable CPUs."""
-    workers = min(threads, len(jobs), _usable_cpus())
+def _fan_out(search: Callable[[Polyomino], object], shapes: list[Polyomino], threads: int) -> list:
+    """Apply ``search`` to every shape, in a process pool when there are
+    threads, shapes and CPUs to share; results keep the shape order.  One
+    shape is the unit of fan-out; the pool has no more workers than shapes
+    or usable CPUs."""
+    workers = min(threads, len(shapes), _usable_cpus())
     if workers <= 1:
-        return [_search_job(job) for job in jobs]
-    chunk = max(1, len(jobs) // (workers * 4))
+        return list(map(search, shapes))
+    chunk = max(1, len(shapes) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_search_job, jobs, chunksize=chunk))
+        return list(pool.map(search, shapes, chunksize=chunk))
 
 
 def enumerate_prismatic_colorings(
@@ -301,42 +296,38 @@ def has_prismatic_coloring(
     return bool(words)
 
 
-def _bbox_candidates(
+def _census(
     pattern: Polyomino,
     n: int,
     size: int,
     bbox: tuple[int, int],
     config: SearchConfig,
-) -> list[Polyomino]:
-    """Connected size-cell shapes in the box with exactly n**|p| instances,
-    canonical and sorted, grown by :func:`_redelmeier_witnesses`."""
+    solution_cap: int | None,
+) -> list[tuple[Polyomino, list[tuple[int, ...]]]]:
+    """Size-cell shapes in the box that admit a de Bruijn n-coloring, each
+    with its canonical words, at most ``solution_cap`` of them.
+
+    :func:`_redelmeier_witnesses` grows the candidates, the shapes with
+    exactly ``n**|pattern|`` instances, and :func:`_fan_out` searches each.
+    """
     _need_colors(n)
-    width, height = bbox
-    if size < 1 or width < 1 or height < 1:
+    if size < 1 or min(bbox) < 1:
         raise SearchError("size and box sides must be positive")
+    # A size-cell shape is at most size cells wide and high: the box only
+    # bounds the shapes, and growth never needs more of it than that.
+    width, height = min(bbox[0], size), min(bbox[1], size)
     target = n ** len(pattern.cells)
     translates = max(0, width - pattern.width + 1) * max(0, height - pattern.height + 1)
     if size > width * height or translates < target:
         return []
     shapes, _ = _redelmeier_witnesses(
-        pattern, size, bbox, target, target, config.node_limit
+        pattern, size, (width, height), target, target, config.node_limit
     )
-    return shapes
-
-
-def _candidate_words(
-    candidates: list[Polyomino],
-    pattern: Polyomino,
-    n: int,
-    config: SearchConfig,
-    solution_cap: int | None,
-) -> list[list[tuple[int, ...]]]:
-    """Canonical words of each candidate, one search per shape."""
-    jobs = [
-        (s.cells, pattern.cells, n, config.node_limit, solution_cap)
-        for s in candidates
-    ]
-    return [words for words, _ in _fan_out(jobs, config.threads)]
+    search = functools.partial(
+        _run_search, pattern=pattern, n=n, node_limit=config.node_limit, solution_cap=solution_cap
+    )
+    found = _fan_out(search, shapes, config.threads)
+    return [(shape, words) for shape, (words, _) in zip(shapes, found) if words]
 
 
 def find_minimal_shapes(
@@ -350,10 +341,7 @@ def find_minimal_shapes(
 
     Canonical forms, sorted by their cell tuples.
     """
-    config = config or SearchConfig.default()
-    candidates = _bbox_candidates(pattern, n, size, bbox, config)
-    found = _candidate_words(candidates, pattern, n, config, solution_cap=1)
-    return [shape for shape, words in zip(candidates, found) if words]
+    return [s for s, _ in _census(pattern, n, size, bbox, config or SearchConfig.default(), 1)]
 
 
 def shape_census(
@@ -364,11 +352,10 @@ def shape_census(
     config: SearchConfig | None = None,
 ) -> list[tuple[Polyomino, int]]:
     """Like :func:`find_minimal_shapes` but with full coloring counts."""
-    config = config or SearchConfig.default()
-    candidates = _bbox_candidates(pattern, n, size, bbox, config)
-    found = _candidate_words(candidates, pattern, n, config, solution_cap=None)
-    orbit = math.factorial(n)
-    return [(shape, len(words) * orbit) for shape, words in zip(candidates, found) if words]
+    return [
+        (shape, len(words) * math.factorial(n))
+        for shape, words in _census(pattern, n, size, bbox, config or SearchConfig.default(), None)
+    ]
 
 
 def _redelmeier_witnesses(
@@ -376,7 +363,7 @@ def _redelmeier_witnesses(
     size: int,
     box: tuple[int, int],
     need: int,
-    most: int | None,
+    most: int,
     node_limit: int,
 ) -> tuple[list[Polyomino], int]:
     """Shapes of exactly ``size`` cells that fit a ``box`` of (W, H) cells
@@ -389,16 +376,14 @@ def _redelmeier_witnesses(
     polyomino appears exactly once.  Growth stays in the H rows from the
     root's row up and within W - 1 columns either side of the root.  A
     cell that would make the shape wider than W, or push its instance
-    count past ``most`` (no bound when None), is skipped: every superset
-    of such a shape fails the same way.  Subtrees that cannot reach
-    ``need`` instances are cut; each new cell adds at most ``|pattern|``
-    instances.  Returns the canonical shapes sorted by their cells and
-    the cells tried, which count against ``node_limit``.
+    count past ``most``, is skipped: every superset of such a shape fails
+    the same way.  Subtrees that cannot reach ``need`` instances are cut;
+    each new cell adds at most ``|pattern|`` instances.  Returns the
+    canonical shapes sorted by their cells and the cells tried, which
+    count against ``node_limit``.
     """
     width, height = box
     gain = len(pattern.cells)
-    if most is None:
-        most = gain * size
     x0 = width - 1
     span = 2 * width - 1
     # The growth region is ``height`` rows of ``span`` cells, less the
@@ -498,7 +483,7 @@ def min_size_with_instances(
     spent = 0
     for cap in range(len(pattern.cells), size_cap + 1):
         witnesses, nodes = _redelmeier_witnesses(
-            pattern, cap, (cap, cap), count, None, config.node_limit - spent
+            pattern, cap, (cap, cap), count, len(pattern.cells) * cap, config.node_limit - spent
         )
         spent += nodes
         if witnesses:

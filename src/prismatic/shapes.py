@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .formats import ASCII_CELL_LIMIT
 from .lattice import Cell, Polyomino, instances_of, is_connected, normalize
 
 
@@ -32,10 +33,17 @@ ELL = Polyomino(((0, 0), (0, 1), (1, 0), (2, 0)))
 LTROMINO = Polyomino(((0, 0), (0, 1), (1, 0)))
 
 
+def _check_cells(count: int) -> None:
+    """Refuse, before building it, a shape too large to render."""
+    if count > ASCII_CELL_LIMIT:
+        raise ShapeError(f"a shape of {count} cells is past the {ASCII_CELL_LIMIT}-cell limit")
+
+
 def straight(k: int) -> Polyomino:
     """Horizontal bar of k cells."""
     if k < 1:
         raise ShapeError("need k >= 1")
+    _check_cells(k)
     return Polyomino(tuple((i, 0) for i in range(k)))
 
 
@@ -65,6 +73,7 @@ def pattern_from_name(name: str) -> Polyomino:
 def rectangle(width: int, height: int) -> Polyomino:
     if width < 1 or height < 1:
         raise ShapeError("rectangle sides must be positive")
+    _check_cells(width * height)
     return Polyomino(tuple((x, y) for x in range(width) for y in range(height)))
 
 
@@ -76,6 +85,7 @@ def ziggurat(n: int) -> Polyomino:
     """
     if n < 1:
         raise BadHeightError("need n >= 1")
+    _check_cells(n * n)
     return Polyomino(
         tuple(
             sorted((x, y) for y in range(n) for x in range(y, 2 * n - 1 - y))
@@ -87,6 +97,7 @@ def pyramid(n: int) -> Polyomino:
     """Left-aligned staircase with rows n, n-1, ..., 1 from the bottom."""
     if n < 1:
         raise BadHeightError("need n >= 1")
+    _check_cells(n * (n + 1) // 2)
     return Polyomino(
         tuple(sorted((x, y) for y in range(n) for x in range(n - y)))
     )

@@ -387,6 +387,51 @@ def test_shape_census_six_by_six_box(capsys):
     assert set(out5.splitlines()) <= set(lines)
 
 
+def test_shape_census_box_only_bounds_the_shapes(capsys):
+    # Growth needs no more of the box than a 3-cell shape can span.
+    args = ("shape-census", "--pattern", "ltromino", "--colors", "1", "--size", "3")
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, *args, "--bbox", "1000x1000")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == invoke(capsys, *args, "--bbox", "3x3")[:2]
+    assert len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("number", ["1" * 5000, "\u00b2"], ids=["5000-digits", "superscript-two"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--shape", "rect:{}x5", "--pattern", "square", "--colors", "2"),
+        ("enumerate", "--shape", "pyramid:{}", "--pattern", "square", "--colors", "2"),
+        ("shape-census", "--pattern", "ltromino", "--colors", "2", "--size", "13", "--bbox", "{}x5"),
+        ("shapes", "ziggurat", "{}"),
+        ("shapes", "pyramid", "4", "--trim", "bottom-right:{}"),
+    ],
+    ids=["rect", "pyramid", "bbox", "ziggurat", "trim"],
+)
+def test_bad_spec_numbers_exit_2_with_one_line(capsys, argv, number):
+    code, out, err = invoke(capsys, *(arg.format(number) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--shape", "rect:100000x100000", "--pattern", "square", "--colors", "2"),
+        ("enumerate", "--shape", "rect:5x5", "--pattern", "straight:10000000000", "--colors", "2"),
+        ("shapes", "ziggurat", "100000"),
+    ],
+    ids=["rect", "straight", "ziggurat"],
+)
+def test_huge_family_shapes_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_counts_missing_colorings_at_once(capsys):
     doc = {"n": 60, "cells": [{"x": 0, "y": 0, "color": 1}, {"x": 1, "y": 0, "color": 2}]}
     code, out, err = invoke(capsys, "verify", "--input", json.dumps(doc), "--pattern", "square")

@@ -26,12 +26,13 @@ from prismatic import (
     transport_coloring,
 )
 from prismatic.search import (
+    DEFAULT_NODE_LIMIT,
     MISSING_SHOWN,
     BudgetExceededError,
     NoWitnessError,
     SearchConfig,
     SearchError,
-    _bbox_candidates,
+    _redelmeier_witnesses,
     _run_search,
     find_minimal_shapes,
     shape_census,
@@ -271,31 +272,24 @@ def test_transpose_carries_square_solutions_onto_square_solutions():
     assert bijection_check("transpose", sols, SQUARE, SQUARE)
 
 
-def test_find_minimal_shapes_positive():
-    # one color: a shape qualifies iff it has exactly one instance
-    assert find_minimal_shapes(SQUARE, 1, 4, (2, 2)) == [SQUARE]
-    assert find_minimal_shapes(straight(2), 2, 5, (5, 1)) == [straight(5)]
-
-
-def test_find_minimal_shapes_negative():
-    # the 3x3 square has 4 square instances, 2 colors need 16
-    assert find_minimal_shapes(SQUARE, 2, 9, (3, 3)) == []
-
-
-def test_census_empty_when_no_shape_qualifies():
-    from prismatic import shape_census
-
-    assert shape_census(SQUARE, 2, 9, (3, 3)) == []
-
-
-def test_census_counts_small_positive():
-    from prismatic import shape_census
-
-    rows = shape_census(straight(2), 2, 5, (5, 1))
-    assert len(rows) == 1
-    shape, count = rows[0]
-    assert shape == straight(5)
-    assert count == count_acyclic(2, 2) == 4
+@pytest.mark.parametrize(
+    "pattern, n, size, box, expected",
+    [
+        # one color: a shape qualifies iff it has exactly one instance
+        (SQUARE, 1, 4, (2, 2), [(SQUARE, 1)]),
+        # the bar's colorings are the 4 acyclic de Bruijn sequences
+        (straight(2), 2, 5, (5, 1), [(straight(5), count_acyclic(2, 2))]),
+        # the box only bounds the shapes; no 5-cell shape is wider than 5
+        (straight(2), 2, 5, (1000, 1000), [(straight(5), count_acyclic(2, 2))]),
+        # the 3x3 square has 4 square instances, 2 colors need 16
+        (SQUARE, 2, 9, (3, 3), []),
+    ],
+    ids=["one-color", "bar", "bar-in-huge-box", "no-shape"],
+)
+def test_census_and_minimal_shapes(pattern, n, size, box, expected):
+    census = shape_census(pattern, n, size, box)
+    assert census == expected
+    assert find_minimal_shapes(pattern, n, size, box) == [shape for shape, _ in census]
 
 
 @settings(max_examples=20, deadline=None)
@@ -471,6 +465,10 @@ def _scan_candidates(pattern, n, size, bbox):
 @example(LTROMINO, 1, 3, 2, 4)
 def test_growth_matches_subset_scan(pattern, n, width, height, size):
     expected = _scan_candidates(pattern, n, size, (width, height))
-    assert _bbox_candidates(pattern, n, size, (width, height), SearchConfig()) == expected
+    target = n ** len(pattern)
+    grown, _ = _redelmeier_witnesses(
+        pattern, size, (width, height), target, target, DEFAULT_NODE_LIMIT
+    )
+    assert grown == expected
     admitting = [s for s in expected if has_prismatic_coloring(s, pattern, n)]
     assert find_minimal_shapes(pattern, n, size, (width, height)) == admitting
