@@ -281,15 +281,22 @@ def test_transpose_carries_square_solutions_onto_square_solutions():
         (straight(2), 2, 5, (5, 1), [(straight(5), count_acyclic(2, 2))]),
         # the box only bounds the shapes; no 5-cell shape is wider than 5
         (straight(2), 2, 5, (1000, 1000), [(straight(5), count_acyclic(2, 2))]),
-        # the 3x3 square has 4 square instances, 2 colors need 16
-        (SQUARE, 2, 9, (3, 3), []),
     ],
-    ids=["one-color", "bar", "bar-in-huge-box", "no-shape"],
+    ids=["one-color", "bar", "bar-in-huge-box"],
 )
 def test_census_and_minimal_shapes(pattern, n, size, box, expected):
     census = shape_census(pattern, n, size, box)
     assert census == expected
     assert find_minimal_shapes(pattern, n, size, box) == [shape for shape, _ in census]
+
+
+def test_find_minimal_shapes_negative():
+    # the 3x3 square has 4 square instances, 2 colors need 16
+    assert find_minimal_shapes(SQUARE, 2, 9, (3, 3)) == []
+
+
+def test_census_empty_when_no_shape_qualifies():
+    assert shape_census(SQUARE, 2, 9, (3, 3)) == []
 
 
 @settings(max_examples=20, deadline=None)
