@@ -32,6 +32,8 @@ def _read_doc(spec: str) -> dict:
 
 
 def _pattern_arg(spec: str) -> lattice.Polyomino:
+    if spec.startswith("straight:"):
+        return shapes.straight(_spec_int(spec.removeprefix("straight:")))
     try:
         return shapes.pattern_from_name(spec)
     except shapes.UnknownPatternError:
@@ -117,7 +119,9 @@ def _cmd_cock(args) -> int:
 
 
 def _cmd_shapes(args) -> int:
-    if args.family == "pyramid" and args.trim:
+    if args.trim:
+        if args.family != "pyramid":
+            raise shapes.BadTrimError(f"--trim applies to pyramid only, not {args.family}")
         corner, _, k = args.trim.rpartition(":")
         if not corner:
             raise shapes.BadTrimError(f"bad trim spec {args.trim!r}, want CORNER:K")

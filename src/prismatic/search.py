@@ -313,16 +313,8 @@ def _census(
     _need_colors(n)
     if size < 1 or min(bbox) < 1:
         raise SearchError("size and box sides must be positive")
-    # A size-cell shape is at most size cells wide and high: the box only
-    # bounds the shapes, and growth never needs more of it than that.
-    width, height = min(bbox[0], size), min(bbox[1], size)
     target = n ** len(pattern.cells)
-    translates = max(0, width - pattern.width + 1) * max(0, height - pattern.height + 1)
-    if size > width * height or translates < target:
-        return []
-    shapes, _ = _redelmeier_witnesses(
-        pattern, size, (width, height), target, target, config.node_limit
-    )
+    shapes, _ = _redelmeier_witnesses(pattern, size, bbox, target, target, config.node_limit)
     search = functools.partial(
         _run_search, pattern=pattern, n=n, node_limit=config.node_limit, solution_cap=solution_cap
     )
@@ -373,16 +365,24 @@ def _redelmeier_witnesses(
     "Counting polyominoes: yet another attack", 1981): the first cell is
     the leftmost cell of the bottom row, candidate cells join in discovery
     order and each is either taken or permanently skipped, so every fixed
-    polyomino appears exactly once.  Growth stays in the H rows from the
-    root's row up and within W - 1 columns either side of the root.  A
-    cell that would make the shape wider than W, or push its instance
-    count past ``most``, is skipped: every superset of such a shape fails
-    the same way.  Subtrees that cannot reach ``need`` instances are cut;
-    each new cell adds at most ``|pattern|`` instances.  Returns the
-    canonical shapes sorted by their cells and the cells tried, which
-    count against ``node_limit``.
+    polyomino appears exactly once.  The box is clamped on entry: a shape
+    is at most ``size`` wide and high; a pattern two or more cells wide
+    has two cells side by side, each instance puts the left one on its own
+    cell, never the last of a row, and a connected shape has no empty row,
+    so instances <= size - H (<= size - W for a pattern two or more cells
+    high).  Growth stays in the H rows from the root's row up and within
+    W - 1 columns either side of the root.  A cell that would make the
+    shape wider than W, or push its instance count past ``most``, is
+    skipped: every superset of such a shape fails the same way.  Subtrees
+    that cannot reach ``need`` instances are cut; each new cell adds at
+    most ``|pattern|`` instances.  Returns the canonical shapes sorted by
+    their cells and the cells tried, which count against ``node_limit``.
     """
-    width, height = box
+    width = min(box[0], size - need if pattern.height > 1 else size)
+    height = min(box[1], size - need if pattern.width > 1 else size)
+    translates = max(0, width - pattern.width + 1) * max(0, height - pattern.height + 1)
+    if min(width, height) < 1 or size > width * height or translates < need:
+        return [], 0
     gain = len(pattern.cells)
     x0 = width - 1
     span = 2 * width - 1

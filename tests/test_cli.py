@@ -142,6 +142,13 @@ def test_shapes_pyramid_trim(capsys):
     assert len(json.loads(out)["cells"]) == 35
 
 
+@pytest.mark.parametrize("family, size", [("ziggurat", "2"), ("rect", "2x3")])
+def test_shapes_trim_only_on_pyramid(capsys, family, size):
+    code, out, err = invoke(capsys, "shapes", family, size, "--trim", "bottom-right:1")
+    assert (code, out) == (2, "")
+    assert err == f"error: --trim applies to pyramid only, not {family}\n"
+
+
 def test_shapes_bad_trim_exit_2(capsys):
     code, _, err = invoke(capsys, "shapes", "pyramid", "4", "--trim", "bottom-left:3")
     assert code == 2
@@ -371,6 +378,26 @@ def test_shape_census_budget_exit_3_for_every_thread_count(capsys, monkeypatch):
     assert err1 == err2 == "budget exceeded: shape enumeration exceeded the 1000 node budget\n"
 
 
+def test_min_size_growth_node_regression(capsys, monkeypatch):
+    # The clamped box (5x5 at 13 cells) grows 180,561 cells over caps
+    # 3..13; a size x size box needs 596,894, past this budget.
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "200000")
+    code, out, _ = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "8", "--cap", "13")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["size"], len(doc["witnesses"])) == (13, 9)
+
+
+def test_dense_census_settles_without_growth(capsys, monkeypatch):
+    # 16 square instances in 20 cells leave at most 4 rows and columns,
+    # and a 4x4 box holds 16 cells, so nothing is grown.
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "1")
+    code, out, err = invoke(
+        capsys, "shape-census", "--pattern", "square", "--colors", "2", "--size", "20", "--bbox", "5x5"
+    )
+    assert (code, out, err) == (0, "", "")
+
+
 def test_shape_census_six_by_six_box(capsys):
     # C(36, 14), about 3.8e9 box subsets, is past any subset scan; shape
     # growth tries about 1.2M cells.
@@ -397,7 +424,9 @@ def test_shape_census_box_only_bounds_the_shapes(capsys):
     assert len(out.splitlines()) == 1
 
 
-@pytest.mark.parametrize("number", ["1" * 5000, "\u00b2"], ids=["5000-digits", "superscript-two"])
+@pytest.mark.parametrize(
+    "number", ["1" * 5000, "\u00b2", "x"], ids=["5000-digits", "superscript-two", "letter"]
+)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -406,20 +435,21 @@ def test_shape_census_box_only_bounds_the_shapes(capsys):
         ("shape-census", "--pattern", "ltromino", "--colors", "2", "--size", "13", "--bbox", "{}x5"),
         ("shapes", "ziggurat", "{}"),
         ("shapes", "pyramid", "4", "--trim", "bottom-right:{}"),
+        ("enumerate", "--shape", "rect:5x5", "--pattern", "straight:{}", "--colors", "2"),
     ],
-    ids=["rect", "pyramid", "bbox", "ziggurat", "trim"],
+    ids=["rect", "pyramid", "bbox", "ziggurat", "trim", "straight"],
 )
 def test_bad_spec_numbers_exit_2_with_one_line(capsys, argv, number):
     code, out, err = invoke(capsys, *(arg.format(number) for arg in argv))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: bad number ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("enumerate", "--shape", "rect:100000x100000", "--pattern", "square", "--colors", "2"),
-        ("enumerate", "--shape", "rect:5x5", "--pattern", "straight:10000000000", "--colors", "2"),
+        ("enumerate", "--shape", "rect:5x5", "--pattern", "straight:999999999", "--colors", "2"),
         ("shapes", "ziggurat", "100000"),
     ],
     ids=["rect", "straight", "ziggurat"],

@@ -25,6 +25,8 @@ def test_reproduce_counts_without_census():
 
 
 def test_minimal_shape_scan():
-    proc = run_script("minimal_shape_scan.py", "--max-instances", "4")
+    # The documented default, --max-instances 8, reaches the 13-cell
+    # threshold of the 2-colour L-tromino.
+    proc = run_script("minimal_shape_scan.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "N=4: size" in proc.stdout
+    assert "N=8: size 13, 9 shape(s)" in proc.stdout

@@ -42,6 +42,7 @@ from prismatic.shapes import (
     LTROMINO,
     SQUARE,
     TEE,
+    ZEE,
     rectangle,
     straight,
     ziggurat,
@@ -335,6 +336,25 @@ def test_instance_cells_agree_with_instances_of(seed, size, pattern):
         assert [shape.cells[i] for i in ids] == [(x + vx, y + vy) for x, y in pattern.cells]
 
 
+BOUND_PATTERNS = [
+    SQUARE, ZEE, TEE, ELL, LTROMINO, straight(2), straight(3), straight(4), normalize([(0, 0), (0, 1)])
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from(BOUND_PATTERNS))
+def test_instances_leave_a_cell_per_row_and_column(seed, size, pattern):
+    # The growth box clamp: a pattern two or more cells wide never puts
+    # the left cell of its side-by-side pair on the last cell of a row,
+    # and a connected shape has no empty row; columns likewise.
+    shape = random_polyomino(random.Random(seed), size)
+    count = len(instances_of(pattern, shape))
+    if pattern.width > 1:
+        assert count <= size - shape.height
+    if pattern.height > 1:
+        assert count <= size - shape.width
+
+
 def _fitting_pattern(shape, n):
     """The first small pattern with exactly n**k instances in ``shape``."""
     return next(
@@ -470,6 +490,8 @@ def _scan_candidates(pattern, n, size, bbox):
 @example(straight(3), 2, 4, 4, 16)
 @example(SMALL_PATTERNS[1], 2, 3, 4, 8)
 @example(LTROMINO, 1, 3, 2, 4)
+@example(LTROMINO, 2, 4, 4, 11)
+@example(LTROMINO, 1, 4, 4, 4)
 def test_growth_matches_subset_scan(pattern, n, width, height, size):
     expected = _scan_candidates(pattern, n, size, (width, height))
     target = n ** len(pattern)
