@@ -161,15 +161,13 @@ def _cmd_enumerate(args) -> int:
     found = search.enumerate_prismatic_colorings(
         shape, pattern, args.colors, _config(args)
     )
-    lines = (json.dumps(formats.to_json(c)) for c in found)
+    lines = (line + "\n" for line in formats.json_lines(found))
     if args.emit:
         with open(args.emit, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(lines)
         print(len(found))
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(lines)
     return 0
 
 

@@ -4,12 +4,14 @@ JSON layout: ``{"n": 2, "cells": [{"x": 0, "y": 0, "color": 1}, ...]}``
 with cells sorted by ``(x, y)``; uncolored shapes drop the ``n`` key and
 the ``color`` fields.  ASCII grids print one text row per lattice row
 from max y down to min y, digit characters for colors and ``.`` for
-absent cells.
+absent cells.  :func:`json_lines` prints many colorings of one shape
+from one template of that layout.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import json
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .lattice import Cell, ColoredPolyomino, LatticeError, Polyomino
 
@@ -33,6 +35,22 @@ def to_json(obj, n: int | None = None) -> dict:
         }
     cells = obj.cells if isinstance(obj, Polyomino) else sorted(obj)
     return {"cells": [{"x": x, "y": y} for x, y in cells]}
+
+
+def json_lines(colorings: Sequence[ColoredPolyomino]) -> Iterator[str]:
+    """``json.dumps(to_json(c))`` for each of ``colorings``, which share one
+    shape and one n.  The layout is dumped once, from :func:`to_json` with
+    a ``%d`` in each color's place, and each line fills in a color tuple.
+    """
+    if not colorings:
+        return iter(())
+    doc = to_json(colorings[0])
+    for record in doc["cells"]:
+        record["color"] = "%d"
+    # Every other key and value is fixed text or an int, so the only "%"
+    # in the dump are the placeholders.
+    template = json.dumps(doc).replace("%", "%%").replace('"%%d"', "%d")
+    return (template % c.colors for c in colorings)
 
 
 def _int(record: dict, key: str) -> int:

@@ -2,9 +2,11 @@
 
 A coloring of a shape S is de Bruijn for a pattern p when the translates
 of p inside S pick up every n-coloring of p exactly once.  The searches
-here assign colors cell by cell in row-major order (top row first), so
-results come out in lexicographic order of the row-major color word.
-Two exact cuts shrink the tree:
+here assign colors cell by cell in one of the 8 row- or column-major
+scan orders, the one with the smallest estimated tree for the shape
+(:func:`_cell_table`); results still come out in lexicographic order of
+the row-major (top row first) color word.  Two exact cuts shrink the
+tree:
 
 * color symmetry: a de Bruijn coloring uses every color, so the n!
   color permutations act freely on the solutions and the search keeps
@@ -12,8 +14,8 @@ Two exact cuts shrink the tree:
   (value precedence); callers expand each word by the permutations;
 * prefix counts: every pattern coloring occurs once, so at most
   ``n**(k - j)`` instances may read the same first j colors (k pattern
-  cells, in row-major order); a branch dies as soon as one prefix passes
-  its cap, which at ``j = k`` is the duplicate check.
+  cells, in scan order); a branch dies as soon as one prefix passes its
+  cap, which at ``j = k`` is the duplicate check.
 
 Candidate shapes, for the census and for minimal-size witnesses, come
 from one rooted polyomino growth, :func:`_redelmeier_witnesses`.  The
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -141,28 +144,93 @@ def is_debruijn_coloring(colored: ColoredPolyomino, pattern: Polyomino) -> Verif
     )
 
 
-def _row_major_steps(shape: Polyomino) -> list[int]:
-    """``steps[i]``: the search step, in row-major order (top row first),
-    that colors ``shape.cells[i]``."""
-    order = sorted(shape.cells, key=lambda cell: (-cell[1], cell[0]))
-    step = {cell: t for t, cell in enumerate(order)}
-    return [step[cell] for cell in shape.cells]
+def _scan_orders(shape: Polyomino) -> list[list[int]]:
+    """The 8 translation-invariant scan orders of ``shape``, each a list of
+    indices into ``shape.cells``: row- or column-major, each axis in
+    either direction.  The first is row-major, top row first, each row
+    left to right."""
+    rows: list[list[int]] = [[] for _ in range(shape.height)]
+    cols: list[list[int]] = [[] for _ in range(shape.width)]
+    for i, (x, y) in enumerate(shape.cells):
+        rows[y].append(i)
+        cols[x].append(i)
+    rows.reverse()
+    # Each order and its reverse; shape.cells is column-major already.
+    orders = [
+        [i for row in rows for i in row],
+        [i for row in rows for i in row[::-1]],
+        list(range(len(shape.cells))),
+        [i for col in cols for i in col[::-1]],
+    ]
+    return orders + [order[::-1] for order in orders]
 
 
-def _cell_table(shape: Polyomino, pattern: Polyomino) -> list[list[int]]:
-    """Per search step, the instances through the cell it colors.
+@functools.lru_cache(maxsize=16)
+def _last_cells(pattern: Polyomino) -> tuple[int, ...]:
+    """Per scan order, the index of the pattern cell it colors last."""
+    return tuple(order[-1] for order in _scan_orders(pattern))
 
-    A translate keeps the row-major order of the pattern's cells, so the
-    cell colored at step ``t`` is the next uncolored cell of every
-    instance in ``through[t]``, and it is a different pattern cell, hence
-    a different prefix length, for each of them.
+
+@functools.lru_cache(maxsize=16)
+def _distinct_shares(words: int) -> tuple[float, ...]:
+    """``shares[m]``: the chance that m uniform random words of ``words``
+    are distinct, over the chance that all ``words`` are.  Taken in log
+    space and capped at e**600, so that no term of an estimate overflows."""
+    logs = list(itertools.accumulate((math.log1p(-i / words) for i in range(words)), initial=0.0))
+    return tuple(math.exp(min(log - logs[-1], 600.0)) for log in logs)
+
+
+def _cell_table(
+    shape: Polyomino, pattern: Polyomino, n: int
+) -> tuple[list[int], list[list[int]]] | None:
+    """Where the search colors each cell, and what it checks there:
+    ``step[i]`` is the search step that colors ``shape.cells[i]`` and
+    ``through[t]`` the instances through that cell.  ``None`` when the
+    shape does not carry exactly ``n**|pattern|`` instances, so admits
+    no coloring.
+
+    Any translation-invariant order keeps the order of a translate's
+    cells, so the cell colored at step ``t`` is the next uncolored cell of
+    every instance in ``through[t]``, and it is a different pattern cell,
+    hence a different prefix length, for each of them.
+
+    Of the 8 orders of :func:`_scan_orders` the table takes the one with
+    the smallest expected tree under the duplicate cut alone (Knuth,
+    "Estimating the efficiency of backtrack programs", 1975): the sum
+    over steps t of ``n**(t+1) * prod_{i<m_t} (1 - i/n**k)``, the color
+    prefixes of t + 1 cells whose m_t complete instances read distinct
+    words.  Every order ends on the same last term, and each term is
+    taken relative to it, as a power of n times a :func:`_distinct_shares`
+    entry; ties keep the first order.
     """
-    steps = _row_major_steps(shape)
-    through: list[list[int]] = [[] for _ in steps]
-    for inst, ids in enumerate(instance_cells(pattern, shape)):
+    table = instance_cells(pattern, shape)
+    words = n ** len(pattern.cells)
+    if len(table) != words:
+        return None
+    orders = _scan_orders(shape)
+    order, best = orders[0], math.inf
+    # powers[t] = n**(t + 1 - len(shape)), the last term's power of n
+    # taken out.
+    falls = itertools.repeat(1 / n, len(shape.cells) - 1)
+    powers = list(itertools.accumulate(falls, operator.mul, initial=1.0))[::-1]
+    shares = _distinct_shares(words)
+    for scan, last in zip(orders, _last_cells(pattern)):
+        # An instance is complete once its last pattern cell is colored.
+        ends = [0] * len(scan)
+        for ids in table:
+            ends[ids[last]] += 1
+        complete = itertools.accumulate(map(ends.__getitem__, scan))
+        estimate = sum(map(operator.mul, powers, map(shares.__getitem__, complete)))
+        if estimate < best:
+            best, order = estimate, scan
+    step = [0] * len(order)
+    for t, c in enumerate(order):
+        step[c] = t
+    through: list[list[int]] = [[] for _ in order]
+    for inst, ids in enumerate(table):
         for i in ids:
-            through[steps[i]].append(inst)
-    return through
+            through[step[i]].append(inst)
+    return step, through
 
 
 def _need_colors(n: int) -> None:
@@ -177,20 +245,31 @@ def _run_search(
     node_limit: int,
     solution_cap: int | None = None,
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Backtracking core; returns (canonical words, nodes tried).
-
-    Words are color tuples in row-major order, emitted lexicographically,
-    and canonical: color c + 1 never appears before color c.  With
-    exactly ``n**|pattern|`` instances every solution uses all n colors,
-    so each solution is one color permutation of exactly one canonical
-    word; a shape with any other instance count admits none and returns
-    ``([], 0)`` without searching.  ``solution_cap`` stops after so many
-    results.
-    """
-    through = _cell_table(shape, pattern)
-    k = len(pattern.cells)
-    if sum(map(len, through)) != k * n**k:
+    """Search ``shape`` in the order :func:`_cell_table` picks; returns
+    (canonical words, nodes tried), or ``([], 0)`` without searching when
+    the instance count is not ``n**|pattern|``."""
+    table = _cell_table(shape, pattern, n)
+    if table is None:
         return [], 0
+    return _backtrack(table[1], n, len(pattern.cells), node_limit, solution_cap)
+
+
+def _backtrack(
+    through: list[list[int]],
+    n: int,
+    k: int,
+    node_limit: int,
+    solution_cap: int | None = None,
+) -> tuple[list[tuple[int, ...]], int]:
+    """Backtracking core over a :func:`_cell_table`; returns (canonical
+    words, nodes tried).
+
+    Words are color tuples in scan order, emitted lexicographically, and
+    canonical: color c + 1 never appears before color c.  The table has
+    exactly ``n**k`` instances, so every solution uses all n colors and
+    is one color permutation of exactly one canonical word.
+    ``solution_cap`` stops after so many results.
+    """
     # A prefix of j colors is coded in bijective base n: the empty prefix
     # is 0 and appending color c maps code to code * n + c.  Each word
     # occurs once, so at most n**(k - j) instances may share a j-color
@@ -274,13 +353,16 @@ def enumerate_prismatic_colorings(
     """
     config = config or SearchConfig.default()
     _need_colors(n)
-    found, _ = _run_search(shape, pattern, n, config.node_limit)
+    table = _cell_table(shape, pattern, n)
+    if table is None:
+        return []
+    step, through = table
+    found, _ = _backtrack(through, n, len(pattern.cells), config.node_limit)
     perms = list(itertools.permutations(range(1, n + 1)))
-    words = sorted(tuple(p[c - 1] for c in word) for word in found for p in perms)
-    steps = _row_major_steps(shape)
-    return [
-        ColoredPolyomino(shape, n, tuple(word[t] for t in steps)) for word in words
-    ]
+    colorings = [tuple([p[word[t] - 1] for t in step]) for word in found for p in perms]
+    # Sort by the row-major color word, whatever order the search took.
+    colorings.sort(key=operator.itemgetter(*_scan_orders(shape)[0]))
+    return [ColoredPolyomino(shape, n, colors) for colors in colorings]
 
 
 def has_prismatic_coloring(
@@ -350,6 +432,55 @@ def shape_census(
     ]
 
 
+def _growth_box(
+    pattern: Polyomino, size: int, box: tuple[int, int], need: int
+) -> tuple[int, int] | None:
+    """The (W, H) box growth may use for shapes of ``size`` cells in
+    ``box`` with ``need`` instances, or ``None`` when no such shape fits.
+
+    A shape is at most ``size`` wide and high.  A pattern two or more
+    cells wide has two cells side by side, each instance puts the left
+    one on its own cell, never the last of a row, and a connected shape
+    has no empty row, so instances <= size - H (<= size - W for a pattern
+    two or more cells high).  The clamped box must still hold ``size``
+    cells and ``need`` translates of the pattern.
+    """
+    width = min(box[0], size - need if pattern.height > 1 else size)
+    height = min(box[1], size - need if pattern.width > 1 else size)
+    translates = max(0, width - pattern.width + 1) * max(0, height - pattern.height + 1)
+    if min(width, height) < 1 or size > width * height or translates < need:
+        return None
+    return width, height
+
+
+def _upper_root(p: int, q: int) -> int:
+    """Least integer s on or above the larger root of s*s - p*s + q,
+    for a discriminant of at least 1."""
+    s = (p + math.isqrt(p * p - 4 * q)) // 2
+    while s * s - p * s + q < 0:
+        s += 1
+    return s
+
+
+def _least_size(pattern: Polyomino, need: int) -> int:
+    """Least size whose ``size x size`` box :func:`_growth_box` admits for
+    ``need`` instances, in closed form.
+
+    With W = size - a and H = size - b (a, b each ``need`` or 0), the box
+    admits a size once it holds the cells, W * H >= size, and the
+    translates, (W - pw + 1) * (H - ph + 1) >= need; both grow with size
+    past their larger root.
+    """
+    a = need if pattern.height > 1 else 0
+    b = need if pattern.width > 1 else 0
+    # W * H - size and (W - pw + 1) * (H - ph + 1) - need, as quadratics
+    # in size.
+    holds_cells = _upper_root(a + b + 1, a * b)
+    u, v = a + pattern.width - 1, b + pattern.height - 1
+    holds_translates = _upper_root(u + v, u * v - need)
+    return max(len(pattern.cells), holds_cells, holds_translates)
+
+
 def _redelmeier_witnesses(
     pattern: Polyomino,
     size: int,
@@ -365,24 +496,19 @@ def _redelmeier_witnesses(
     "Counting polyominoes: yet another attack", 1981): the first cell is
     the leftmost cell of the bottom row, candidate cells join in discovery
     order and each is either taken or permanently skipped, so every fixed
-    polyomino appears exactly once.  The box is clamped on entry: a shape
-    is at most ``size`` wide and high; a pattern two or more cells wide
-    has two cells side by side, each instance puts the left one on its own
-    cell, never the last of a row, and a connected shape has no empty row,
-    so instances <= size - H (<= size - W for a pattern two or more cells
-    high).  Growth stays in the H rows from the root's row up and within
-    W - 1 columns either side of the root.  A cell that would make the
+    polyomino appears exactly once.  The box is clamped on entry by
+    :func:`_growth_box`.  Growth stays in the H rows from the root's row
+    up and within W - 1 columns either side of the root.  A cell that would make the
     shape wider than W, or push its instance count past ``most``, is
     skipped: every superset of such a shape fails the same way.  Subtrees
     that cannot reach ``need`` instances are cut; each new cell adds at
     most ``|pattern|`` instances.  Returns the canonical shapes sorted by
     their cells and the cells tried, which count against ``node_limit``.
     """
-    width = min(box[0], size - need if pattern.height > 1 else size)
-    height = min(box[1], size - need if pattern.width > 1 else size)
-    translates = max(0, width - pattern.width + 1) * max(0, height - pattern.height + 1)
-    if min(width, height) < 1 or size > width * height or translates < need:
+    clamped = _growth_box(pattern, size, box, need)
+    if clamped is None:
         return [], 0
+    width, height = clamped
     gain = len(pattern.cells)
     x0 = width - 1
     span = 2 * width - 1
@@ -474,17 +600,24 @@ def min_size_with_instances(
     """Smallest cell count of a connected shape with >= ``count`` instances.
 
     Returns that size together with every witness shape of that size.
-    Sizes are tried in increasing order up to ``size_cap``; raises
-    :class:`NoWitnessError` when the cap is reached without a witness.
+    Sizes are tried in increasing order up to ``size_cap``, from the
+    least one :func:`_least_size` admits; raises :class:`NoWitnessError`
+    when the cap is reached without a witness.  One node budget covers
+    every size.
     """
     config = config or SearchConfig.default()
     if count < 1:
         raise SearchError("need count >= 1")
     spent = 0
-    for cap in range(len(pattern.cells), size_cap + 1):
-        witnesses, nodes = _redelmeier_witnesses(
-            pattern, cap, (cap, cap), count, len(pattern.cells) * cap, config.node_limit - spent
-        )
+    for cap in range(_least_size(pattern, count), size_cap + 1):
+        try:
+            witnesses, nodes = _redelmeier_witnesses(
+                pattern, cap, (cap, cap), count, len(pattern.cells) * cap, config.node_limit - spent
+            )
+        except BudgetExceededError:
+            raise BudgetExceededError(
+                f"shape enumeration exceeded the {config.node_limit} node budget at size {cap}"
+            ) from None
         spent += nodes
         if witnesses:
             return cap, witnesses

@@ -3,18 +3,27 @@
 import contextlib
 import io
 import json
+import os
+import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prismatic import instances_of, normalize, to_json
+from prismatic import (
+    enumerate_prismatic_colorings,
+    instances_of,
+    normalize,
+    random_polyomino,
+    to_json,
+)
 from prismatic import search
 from prismatic.cli import run
-from prismatic.shapes import LTROMINO, ziggurat
+from prismatic.shapes import LTROMINO, straight, ziggurat
 
 from goldens import CENSUS13_ROWSPANS, COCK3_GRID, COCK3_R0, shape_from_rows, two_coloring
 from goldens import SQUARE5_SHAPE, SQUARE5_TWOS
@@ -249,6 +258,39 @@ def test_enumerate_emit_prints_count(tmp_path, capsys):
     assert len(outfile.read_text().splitlines()) == 8
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.builds(
+        lambda seed, size: random_polyomino(random.Random(seed), size),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 11),
+    ),
+    st.integers(1, 3),
+)
+@example(shape_from_rows(CENSUS13_ROWSPANS["A"]), 2)
+@example(straight(10), 3)
+def test_enumerate_lines_are_dumps_of_to_json(shape, n):
+    # The first pattern with n**k instances, so that most shapes have
+    # colorings to print.
+    patterns = [straight(2), normalize([(0, 0), (0, 1)]), straight(3), LTROMINO]
+    pattern = next((p for p in patterns if len(instances_of(p, shape)) == n ** len(p)), LTROMINO)
+    argv = [
+        "enumerate",
+        "--shape", json.dumps(to_json(shape)),
+        "--pattern", json.dumps(to_json(pattern)),
+        "--colors", str(n),
+    ]
+    code, out, _ = run_on_stdin(argv, "")
+    assert code == 0
+    want = [json.dumps(to_json(c)) for c in enumerate_prismatic_colorings(shape, pattern, n)]
+    assert out.splitlines() == want
+    with tempfile.TemporaryDirectory() as tmp:
+        emit = os.path.join(tmp, "out.jsonl")
+        code, count, _ = run_on_stdin(argv + ["--emit", emit], "")
+        with open(emit) as fh:
+            assert (code, count, fh.read()) == (0, f"{len(want)}\n", out)
+
+
 @pytest.mark.parametrize("args", [ENUMERATE5, CENSUS13], ids=["enumerate", "shape-census"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_2(capsys, args, threads):
@@ -386,6 +428,29 @@ def test_min_size_growth_node_regression(capsys, monkeypatch):
     assert code == 0
     doc = json.loads(out)
     assert (doc["size"], len(doc["witnesses"])) == (13, 9)
+
+
+def test_min_size_budget_names_the_budget_and_size(capsys, monkeypatch):
+    # The budget runs out at 13 cells, having spent part of it on the
+    # sizes below; the message gives the budget as set.
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "100000")
+    code, out, err = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "8", "--cap", "13")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: shape enumeration exceeded the 100000 node budget at size 13\n"
+
+
+def test_min_size_skips_the_sizes_no_box_admits():
+    # 10**8 square instances need a box of 10**8 + 10**4 + 1 cells, past
+    # the cap, so no size is tried.
+    proc = subprocess.run(
+        [sys.executable, "-m", "prismatic.cli", "min-size", "--pattern", "square",
+         "--instances", "100000000", "--cap", "100000000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: no shape of size <= 100000000 holds 100000000 instances\n"
 
 
 def test_dense_census_settles_without_growth(capsys, monkeypatch):

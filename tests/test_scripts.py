@@ -24,6 +24,13 @@ def test_reproduce_counts_without_census():
     assert "0 failures" in proc.stdout
 
 
+def test_reproduce_counts_with_census():
+    proc = run_script("reproduce_counts.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "ok   13-cell census shapes: 9" in proc.stdout
+    assert "0 failures" in proc.stdout
+
+
 def test_minimal_shape_scan():
     # The documented default, --max-instances 8, reaches the 13-cell
     # threshold of the 2-colour L-tromino.

@@ -32,6 +32,8 @@ from prismatic.search import (
     NoWitnessError,
     SearchConfig,
     SearchError,
+    _growth_box,
+    _least_size,
     _redelmeier_witnesses,
     _run_search,
     find_minimal_shapes,
@@ -312,6 +314,14 @@ def test_bar_enumeration_matches_acyclic_count(k):
 SMALL_PATTERNS = [straight(2), normalize([(0, 0), (0, 1)]), straight(3), LTROMINO]
 
 
+@pytest.mark.parametrize("pattern", SMALL_PATTERNS + [straight(1), SQUARE, TEE, ZEE, ELL])
+def test_least_size_is_the_first_size_growth_admits(pattern):
+    for need in range(1, 200):
+        sizes = itertools.count(len(pattern))
+        first = next(s for s in sizes if _growth_box(pattern, s, (s, s), need))
+        assert _least_size(pattern, need) == first
+
+
 @st.composite
 def grown_shapes(draw, min_size=3, max_size=9):
     """A polyomino grown cell by cell from the origin."""
@@ -404,6 +414,82 @@ def test_search_node_count_regression(shape, pattern, count, cap):
     words, nodes = _run_search(shape, pattern, 2, 10**9)
     assert len(words) * 2 == count
     assert nodes <= cap
+
+
+# The 8 symmetries of the square lattice, as matrices (a, b, c, d) of
+# (x, y) -> (a x + b y, c x + d y); the last is the transpose.
+SYMMETRIES = [
+    (1, 0, 0, 1),
+    (0, -1, 1, 0),
+    (-1, 0, 0, -1),
+    (0, 1, -1, 0),
+    (-1, 0, 0, 1),
+    (1, 0, 0, -1),
+    (0, -1, -1, 0),
+    (0, 1, 1, 0),
+]
+TRANSPOSE = SYMMETRIES[-1]
+
+
+def _turned(g, shape):
+    a, b, c, d = g
+    return normalize((a * x + b * y, c * x + d * y) for x, y in shape.cells)
+
+
+def _turned_coloring(g, colored):
+    a, b, c, d = g
+    mapping = {(a * x + b * y, c * x + d * y): col for (x, y), col in colored.mapping().items()}
+    return ColoredPolyomino.from_mapping(mapping, colored.n)
+
+
+def _row_major_word(colored):
+    top_first = sorted(colored.mapping().items(), key=lambda kv: (-kv[0][1], kv[0][0]))
+    return [col for _, col in top_first]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.builds(
+        lambda seed, size: random_polyomino(random.Random(seed), size),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 11),
+    ),
+    st.integers(1, 3),
+)
+@example(SHAPE_A, 2)
+@example(straight(10), 3)
+@example(normalize([(x, 0) for x in range(6)] + [(x, 1) for x in range(5)]), 3)
+def test_enumeration_commutes_with_orientation(shape, n):
+    # Each orientation may be searched in its own scan order; the
+    # colorings are the turned ones, in row-major lexicographic order.
+    pattern = _fitting_pattern(shape, n)
+    sols = enumerate_prismatic_colorings(shape, pattern, n)
+    for g in SYMMETRIES:
+        turned = enumerate_prismatic_colorings(_turned(g, shape), _turned(g, pattern), n)
+        assert set(turned) == {_turned_coloring(g, s) for s in sols}
+        assert turned == sorted(turned, key=_row_major_word)
+
+
+@pytest.mark.parametrize("g", SYMMETRIES)
+def test_three_color_rect_4x10_is_cheap_in_every_orientation(g):
+    # Row-major order took 1,799,006 nodes on rect(4, 10) and 529,148 on
+    # its transpose; the estimated cheapest order takes 155 on both.
+    config = SearchConfig(node_limit=1000)
+    assert has_prismatic_coloring(_turned(g, rectangle(4, 10)), _turned(g, LTROMINO), 3, config)
+
+
+def test_transposed_ziggurat_search_node_count():
+    # 37,751 nodes in row-major order.
+    words, nodes = _run_search(_turned(TRANSPOSE, ziggurat(5)), _turned(TRANSPOSE, TEE), 2, 10**9)
+    assert (len(words) * 2, nodes) == (168, 32_381)
+
+
+def test_census_search_node_total():
+    # The 196 census shapes of 14 cells in 5x5 took 129,394 nodes in
+    # row-major order.
+    shapes, _ = _redelmeier_witnesses(LTROMINO, 14, (5, 5), 8, 8, DEFAULT_NODE_LIMIT)
+    assert len(shapes) == 196
+    assert sum(_run_search(s, LTROMINO, 2, 10**9)[1] for s in shapes) <= 110_826
 
 
 def test_three_color_square_ten_by_ten_exists():
