@@ -11,7 +11,6 @@ count. Example:
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from prismatic import (
     ascii_render,
@@ -23,16 +22,7 @@ from prismatic import (
 from prismatic.shapes import pattern_from_name
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    pattern: str
-    colors: int
-    max_instances: int
-    cap_slack: int
-    show_shapes: bool
-
-
-def scan(cfg: ScanConfig) -> None:
+def scan(cfg: argparse.Namespace) -> None:
     pattern = pattern_from_name(cfg.pattern)
     want = cfg.colors ** len(pattern)
     for n_inst in range(1, cfg.max_instances + 1):
@@ -66,16 +56,7 @@ def main() -> int:
         help="search sizes up to pattern size + N + this slack",
     )
     parser.add_argument("--show-shapes", action="store_true")
-    args = parser.parse_args()
-    scan(
-        ScanConfig(
-            pattern=args.pattern,
-            colors=args.colors,
-            max_instances=args.max_instances,
-            cap_slack=args.cap_slack,
-            show_shapes=args.show_shapes,
-        )
-    )
+    scan(parser.parse_args())
     return 0
 
 

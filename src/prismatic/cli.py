@@ -146,9 +146,13 @@ def _cmd_verify(args) -> int:
     result = search.is_debruijn_coloring(colored, pattern)
     print(f"de Bruijn: {'true' if result.valid else 'false'}")
     if not result.valid:
+        try:
+            missing = f"={result.missing_count}"
+        except ValueError:  # more digits than Python prints
+            missing = f">=10**{sys.get_int_max_str_digits()}"
         print(
             f"instances={result.instance_count} "
-            f"missing={result.missing_count} duplicated={len(result.duplicated)}",
+            f"missing{missing} duplicated={len(result.duplicated)}",
             file=sys.stderr,
         )
         return 1

@@ -16,7 +16,7 @@ import bisect
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 Cell = tuple[int, int]
 Vec = tuple[int, int]
@@ -318,15 +318,19 @@ def has_pinch(cells: Iterable[Cell]) -> bool:
     half-boundary identity of :func:`pick_quantities` can fail.
     """
     cellset = frozenset(cells)
-    for x, y in cellset:
-        for dx in (-1, 1):
-            for dy in (-1, 1):
-                if (
-                    (x + dx, y + dy) in cellset
-                    and (x + dx, y) not in cellset
-                    and (x, y + dy) not in cellset
-                ):
-                    return True
+    return any(_corner_only(cellset, x, y) for x, y in cellset)
+
+
+def _corner_only(cells: Container[Cell], x: int, y: int) -> bool:
+    """True when some cell of ``cells`` meets (x, y) only at a corner."""
+    for dx in (-1, 1):
+        for dy in (-1, 1):
+            if (
+                (x + dx, y + dy) in cells
+                and (x + dx, y) not in cells
+                and (x, y + dy) not in cells
+            ):
+                return True
     return False
 
 
@@ -343,20 +347,10 @@ def random_polyomino(rng: random.Random, size: int) -> Polyomino:
     if size < 1:
         raise EmptySetError("size must be positive")
 
-    def is_safe(x: int, y: int) -> bool:
-        for dx in (-1, 1):
-            for dy in (-1, 1):
-                if (
-                    (x + dx, y + dy) in cells
-                    and (x + dx, y) not in cells
-                    and (x, y + dy) not in cells
-                ):
-                    return False
-        return True
-
     cells = {(0, 0)}
     frontier = {(1, 0), (-1, 0), (0, 1), (0, -1)}
-    # The safe frontier cells, sorted.  A pick changes the cells and the
+    # The safe frontier cells, those no cell meets only at a corner,
+    # sorted.  A pick changes the cells and the
     # frontier only inside the 3x3 block around it, and safety reads only
     # a cell's 3x3 block, so only the frontier cells of that block are
     # tested again.
@@ -375,7 +369,7 @@ def random_polyomino(rng: random.Random, size: int) -> Polyomino:
             if cell in frontier:
                 i = bisect.bisect_left(safe, cell)
                 listed = i < len(safe) and safe[i] == cell
-                if is_safe(*cell) != listed:
+                if _corner_only(cells, *cell) == listed:
                     if listed:
                         del safe[i]
                     else:

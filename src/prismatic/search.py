@@ -29,6 +29,7 @@ import itertools
 import math
 import operator
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -120,13 +121,18 @@ def is_debruijn_coloring(colored: ColoredPolyomino, pattern: Polyomino) -> Verif
         word = tuple([colored.colors[i] for i in ids])
         counts[word] = counts.get(word, 0) + 1
     missing_count = n ** len(pattern.cells) - len(counts)
-    # The product meets at most len(counts) realized words before it has
-    # found the first MISSING_SHOWN missing ones.
+    # The first MISSING_SHOWN missing words use only the first ``pool``
+    # colors: a word with a color past them comes after the ``pool``
+    # words that share its prefix, put one of those colors in its place
+    # and color 1 after it, and at most len(counts) of those occur.  The
+    # product meets at most len(counts) realized words before it has
+    # found them.
+    pool = min(n, len(counts) + MISSING_SHOWN)
     missing = tuple(
         itertools.islice(
             (
                 word
-                for word in itertools.product(range(1, n + 1), repeat=len(pattern.cells))
+                for word in itertools.product(range(1, pool + 1), repeat=len(pattern.cells))
                 if word not in counts
             ),
             min(missing_count, MISSING_SHOWN),
@@ -245,31 +251,22 @@ def _run_search(
     node_limit: int,
     solution_cap: int | None = None,
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Search ``shape`` in the order :func:`_cell_table` picks; returns
-    (canonical words, nodes tried), or ``([], 0)`` without searching when
-    the instance count is not ``n**|pattern|``."""
+    """Backtracking core, in the scan order :func:`_cell_table` picks;
+    returns (canonical colorings, nodes tried), or ``([], 0)`` without
+    searching when the instance count is not ``n**|pattern|``.
+
+    Colorings are color tuples in ``shape.cells`` order, emitted in
+    lexicographic order of their scan-order word, and canonical: in scan
+    order color c + 1 never appears before color c.  There are exactly
+    ``n**k`` instances, so every solution uses all n colors and is one
+    color permutation of exactly one canonical coloring.
+    ``solution_cap`` stops after so many results.
+    """
     table = _cell_table(shape, pattern, n)
     if table is None:
         return [], 0
-    return _backtrack(table[1], n, len(pattern.cells), node_limit, solution_cap)
-
-
-def _backtrack(
-    through: list[list[int]],
-    n: int,
-    k: int,
-    node_limit: int,
-    solution_cap: int | None = None,
-) -> tuple[list[tuple[int, ...]], int]:
-    """Backtracking core over a :func:`_cell_table`; returns (canonical
-    words, nodes tried).
-
-    Words are color tuples in scan order, emitted lexicographically, and
-    canonical: color c + 1 never appears before color c.  The table has
-    exactly ``n**k`` instances, so every solution uses all n colors and
-    is one color permutation of exactly one canonical word.
-    ``solution_cap`` stops after so many results.
-    """
+    step, through = table
+    k = len(pattern.cells)
     # A prefix of j colors is coded in bijective base n: the empty prefix
     # is 0 and appending color c maps code to code * n + c.  Each word
     # occurs once, so at most n**(k - j) instances may share a j-color
@@ -286,7 +283,7 @@ def _backtrack(
     def place(t: int, top: int) -> bool:
         nonlocal nodes
         if t == len(through):
-            results.append(tuple(colors))
+            results.append(tuple(map(colors.__getitem__, step)))
             return solution_cap is None or len(results) < solution_cap
         ids = through[t]
         for c in range(1, min(n, top + 1) + 1):
@@ -315,8 +312,17 @@ def _backtrack(
                     return False
         return True
 
-    place(0, 0)
+    try:
+        place(0, 0)
+    except RecursionError:
+        raise _too_deep("coloring search", len(through)) from None
     return results, nodes
+
+
+def _too_deep(what: str, cells: int) -> SearchError:
+    return SearchError(
+        f"{what} of {cells} cells passes the recursion limit of {sys.getrecursionlimit()}"
+    )
 
 
 def _usable_cpus() -> int:
@@ -353,13 +359,9 @@ def enumerate_prismatic_colorings(
     """
     config = config or SearchConfig.default()
     _need_colors(n)
-    table = _cell_table(shape, pattern, n)
-    if table is None:
-        return []
-    step, through = table
-    found, _ = _backtrack(through, n, len(pattern.cells), config.node_limit)
+    found, _ = _run_search(shape, pattern, n, config.node_limit)
     perms = list(itertools.permutations(range(1, n + 1)))
-    colorings = [tuple([p[word[t] - 1] for t in step]) for word in found for p in perms]
+    colorings = [tuple([p[c - 1] for c in word]) for word in found for p in perms]
     # Sort by the row-major color word, whatever order the search took.
     colorings.sort(key=operator.itemgetter(*_scan_orders(shape)[0]))
     return [ColoredPolyomino(shape, n, colors) for colors in colorings]
@@ -453,34 +455,6 @@ def _growth_box(
     return width, height
 
 
-def _upper_root(p: int, q: int) -> int:
-    """Least integer s on or above the larger root of s*s - p*s + q,
-    for a discriminant of at least 1."""
-    s = (p + math.isqrt(p * p - 4 * q)) // 2
-    while s * s - p * s + q < 0:
-        s += 1
-    return s
-
-
-def _least_size(pattern: Polyomino, need: int) -> int:
-    """Least size whose ``size x size`` box :func:`_growth_box` admits for
-    ``need`` instances, in closed form.
-
-    With W = size - a and H = size - b (a, b each ``need`` or 0), the box
-    admits a size once it holds the cells, W * H >= size, and the
-    translates, (W - pw + 1) * (H - ph + 1) >= need; both grow with size
-    past their larger root.
-    """
-    a = need if pattern.height > 1 else 0
-    b = need if pattern.width > 1 else 0
-    # W * H - size and (W - pw + 1) * (H - ph + 1) - need, as quadratics
-    # in size.
-    holds_cells = _upper_root(a + b + 1, a * b)
-    u, v = a + pattern.width - 1, b + pattern.height - 1
-    holds_translates = _upper_root(u + v, u * v - need)
-    return max(len(pattern.cells), holds_cells, holds_translates)
-
-
 def _redelmeier_witnesses(
     pattern: Polyomino,
     size: int,
@@ -508,6 +482,9 @@ def _redelmeier_witnesses(
     clamped = _growth_box(pattern, size, box, need)
     if clamped is None:
         return [], 0
+    # Growth recurses once per cell.
+    if size > sys.getrecursionlimit():
+        raise _too_deep("shape growth", size)
     width, height = clamped
     gain = len(pattern.cells)
     x0 = width - 1
@@ -584,7 +561,10 @@ def _redelmeier_witnesses(
             stack_cells.pop()
 
     reached[x0] = 1
-    grow([x0], 0, 0, x0, x0)
+    try:
+        grow([x0], 0, 0, x0, x0)
+    except RecursionError:
+        raise _too_deep("shape growth", size) from None
 
     shapes = [normalize((i % stride, i // stride) for i in idxs) for idxs in found]
     shapes.sort(key=lambda s: s.cells)
@@ -601,15 +581,19 @@ def min_size_with_instances(
 
     Returns that size together with every witness shape of that size.
     Sizes are tried in increasing order up to ``size_cap``, from the
-    least one :func:`_least_size` admits; raises :class:`NoWitnessError`
-    when the cap is reached without a witness.  One node budget covers
-    every size.
+    counting bound: the instance whose anchor (its translate of
+    ``pattern.cells[0]``) comes last in cell order has its other
+    ``|pattern| - 1`` cells past every anchor, so ``count`` instances
+    need ``count + |pattern| - 1`` cells.  :func:`_growth_box` refuses
+    the sizes below its own bound at once.  Raises
+    :class:`NoWitnessError` when the cap is reached without a witness.
+    One node budget covers every size.
     """
     config = config or SearchConfig.default()
     if count < 1:
         raise SearchError("need count >= 1")
     spent = 0
-    for cap in range(_least_size(pattern, count), size_cap + 1):
+    for cap in range(count + len(pattern.cells) - 1, size_cap + 1):
         try:
             witnesses, nodes = _redelmeier_witnesses(
                 pattern, cap, (cap, cap), count, len(pattern.cells) * cap, config.node_limit - spent

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -440,8 +441,8 @@ def test_min_size_budget_names_the_budget_and_size(capsys, monkeypatch):
 
 
 def test_min_size_skips_the_sizes_no_box_admits():
-    # 10**8 square instances need a box of 10**8 + 10**4 + 1 cells, past
-    # the cap, so no size is tried.
+    # 10**8 square instances need 10**8 + 3 cells by the counting bound,
+    # past the cap, so no size is tried.
     proc = subprocess.run(
         [sys.executable, "-m", "prismatic.cli", "min-size", "--pattern", "square",
          "--instances", "100000000", "--cap", "100000000"],
@@ -451,6 +452,56 @@ def test_min_size_skips_the_sizes_no_box_admits():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: no shape of size <= 100000000 holds 100000000 instances\n"
+
+
+def run_capped(*argv):
+    """Run the CLI in a child process held to 1.5 GB of address space and
+    30 s, so that a runaway table or recursion fails there and only there."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+    return subprocess.run(
+        [sys.executable, "-m", "prismatic.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=cap,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--shape", "rect:1002x1", "--pattern", "straight:3", "--colors", "10"),
+        ("min-size", "--pattern", "straight:2", "--instances", "2000", "--cap", "2001"),
+        ("min-size", "--pattern", "square", "--instances", "1000000", "--cap", "2000000"),
+        ("min-size", "--pattern", "square", "--instances", "100000000", "--cap", "200000000"),
+    ],
+    ids=["enumerate-1002", "min-size-2000", "min-size-10^6", "min-size-10^8"],
+)
+def test_searches_past_the_recursion_limit_exit_2_with_one_line(argv):
+    # Both searches recurse once per cell; a growth of more cells than
+    # the recursion limit is refused before its tables are built.
+    proc = run_capped(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "recursion limit" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "n, pattern, missing",
+    [(10**9, "square", f"={10**36}"), (1000, "straight:2000", ">=10**")],
+    ids=["a-billion-colors", "unprintable-count"],
+)
+def test_verify_huge_counts_exit_1_with_one_line(n, pattern, missing):
+    # The missing words listed use only the first colors; a count past
+    # Python's digit limit is given as a bound.
+    doc = json.dumps({"n": n, "cells": [{"x": 0, "y": 0, "color": 1}]})
+    proc = run_capped("verify", "--input", doc, "--pattern", pattern)
+    assert (proc.returncode, proc.stdout) == (1, "de Bruijn: false\n")
+    assert proc.stderr.startswith(f"instances=0 missing{missing}")
+    assert proc.stderr.endswith(" duplicated=0\n") and proc.stderr.count("\n") == 1
 
 
 def test_dense_census_settles_without_growth(capsys, monkeypatch):

@@ -32,8 +32,6 @@ from prismatic.search import (
     NoWitnessError,
     SearchConfig,
     SearchError,
-    _growth_box,
-    _least_size,
     _redelmeier_witnesses,
     _run_search,
     find_minimal_shapes,
@@ -314,14 +312,6 @@ def test_bar_enumeration_matches_acyclic_count(k):
 SMALL_PATTERNS = [straight(2), normalize([(0, 0), (0, 1)]), straight(3), LTROMINO]
 
 
-@pytest.mark.parametrize("pattern", SMALL_PATTERNS + [straight(1), SQUARE, TEE, ZEE, ELL])
-def test_least_size_is_the_first_size_growth_admits(pattern):
-    for need in range(1, 200):
-        sizes = itertools.count(len(pattern))
-        first = next(s for s in sizes if _growth_box(pattern, s, (s, s), need))
-        assert _least_size(pattern, need) == first
-
-
 @st.composite
 def grown_shapes(draw, min_size=3, max_size=9):
     """A polyomino grown cell by cell from the origin."""
@@ -363,6 +353,9 @@ def test_instances_leave_a_cell_per_row_and_column(seed, size, pattern):
         assert count <= size - shape.height
     if pattern.height > 1:
         assert count <= size - shape.width
+    # The counting bound min-size starts from: past the last anchor lie
+    # the other cells of its instance.
+    assert not count or count <= len(shape) - len(pattern) + 1
 
 
 def _fitting_pattern(shape, n):
@@ -480,8 +473,12 @@ def test_three_color_rect_4x10_is_cheap_in_every_orientation(g):
 
 def test_transposed_ziggurat_search_node_count():
     # 37,751 nodes in row-major order.
-    words, nodes = _run_search(_turned(TRANSPOSE, ziggurat(5)), _turned(TRANSPOSE, TEE), 2, 10**9)
+    shape, pattern = _turned(TRANSPOSE, ziggurat(5)), _turned(TRANSPOSE, TEE)
+    words, nodes = _run_search(shape, pattern, 2, 10**9)
     assert (len(words) * 2, nodes) == (168, 32_381)
+    # The colorings come back in cell order, whatever order the search took.
+    for word in words:
+        assert is_debruijn_coloring(ColoredPolyomino(shape, 2, word), pattern)
 
 
 def test_census_search_node_total():
