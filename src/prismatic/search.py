@@ -24,6 +24,7 @@ unit of fan-out (:func:`_fan_out`) is one shape, searched whole.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -478,6 +479,22 @@ def _redelmeier_witnesses(
     that cannot reach ``need`` instances are cut; each new cell adds at
     most ``|pattern|`` instances.  Returns the canonical shapes sorted by
     their cells and the cells tried, which count against ``node_limit``.
+
+    Dead cells cut the rest.  In a branch, a cell is *banned* when no
+    completion can hold it: it lies outside the region, it was popped
+    earlier at this level or at an ancestor's (and so was skipped for
+    good), or it lies in a column that a W-wide shape with the branch's
+    span cannot reach.  Fix a pattern cell j.  Each instance has exactly
+    one shape cell that plays j, and distinct instances have distinct
+    such cells, since the cell fixes the translate; the translate of the
+    pattern that puts j on that cell lies in the shape.  An occupied cell
+    whose translate holds a banned cell is *dead for j*: it plays j in
+    no instance of any completion.  So every completion of ``size``
+    cells holds at most ``size - dead_j`` instances, and a branch with
+    ``dead_j > size - need`` for some j is cut.  On a finished shape,
+    where every other cell is banned, the last cell of each row is dead
+    for the left one of two side-by-side pattern cells: the
+    ``size - H`` bound of :func:`_growth_box`.
     """
     clamped = _growth_box(pattern, size, box, need)
     if clamped is None:
@@ -506,11 +523,26 @@ def _redelmeier_witnesses(
     # completes[c]: the other cells of each instance that c can complete.
     completes: list[list[tuple[int, ...]]] = [[] for _ in range(total)]
     offsets = [px + stride * py for px, py in pattern.cells]
-    for v in range(total - max(offsets)):
+    pad = max(offsets)
+    for v in range(total - pad):
         cells = [v + off for off in offsets]
         if all(map(allowed.__getitem__, cells)):
             for i, c in enumerate(cells):
                 completes[c].append(tuple(cells[:i] + cells[i + 1 :]))
+
+    # Banned cells are kept as the anchors they spoil: bit v + pad of
+    # ``bad`` marks the anchor v, from -pad up, whose pattern translate
+    # holds a banned cell.  Cell c plays pattern cell j through the anchor
+    # c - offsets[j]: bit c of ``bad >> shifts[j]``.  Banning cell c spoils
+    # ``spread << c``, banning column x ``column << x``.
+    shifts = [pad - off for off in offsets]
+    spread = sum(1 << s for s in shifts)
+    column = functools.reduce(operator.or_, (spread << (stride * y) for y in range(height)))
+    # Bit i + pad: cell i, from -pad up, lies outside the region.
+    walls = "".join("0" if a else "1" for a in reversed(allowed))
+    outside = int("1" * pad + walls + "1" * pad, 2)
+    bad = functools.reduce(operator.or_, (outside >> off for off in offsets))
+    slack = size - need
 
     occupied = bytearray(total)
     reached = bytearray(total)
@@ -518,13 +550,20 @@ def _redelmeier_witnesses(
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def grow(untried: list[int], sofar: int, inst: int, lo: int, hi: int) -> None:
+    def grow(
+        untried: list[int], sofar: int, inst: int, lo: int, hi: int, occ: int, bad: int
+    ) -> None:
         nonlocal nodes
         last = sofar + 1 == size
         # Fewest instances a next cell may leave and still reach ``need``.
         floor = need - gain * (size - sofar - 1)
+        # The pattern cells whose dead cells are counted: none while no
+        # more cells are occupied than ``slack``.
+        roles = shifts if sofar + 1 > slack else ()
         while untried:
             c = untried.pop()
+            # Taking c keeps ``kept``; every later sibling has c banned.
+            kept, bad = bad, bad | spread << c
             nodes += 1
             if nodes > node_limit:
                 raise BudgetExceededError(
@@ -547,22 +586,33 @@ def _redelmeier_witnesses(
             if last:
                 found.append((*stack_cells, c))
                 continue
-            occupied[c] = 1
-            stack_cells.append(c)
-            fresh = []
-            for nb in neighbors[c]:
-                if not reached[nb]:
-                    reached[nb] = 1
-                    fresh.append(nb)
-            grow(untried + fresh, sofar + 1, newinst, left, right)
-            for nb in fresh:
-                reached[nb] = 0
-            occupied[c] = 0
-            stack_cells.pop()
+            # A shape spanning columns lo..hi stays within hi - x0 ..
+            # lo + x0; c widens the span by at most one column.
+            if right > hi:
+                kept |= column << (hi - x0)
+            elif left < lo:
+                kept |= column << (lo + x0)
+            taken = occ | 1 << c
+            for s in roles:
+                if (kept >> s & taken).bit_count() > slack:
+                    break
+            else:
+                occupied[c] = 1
+                stack_cells.append(c)
+                fresh = []
+                for nb in neighbors[c]:
+                    if not reached[nb]:
+                        reached[nb] = 1
+                        fresh.append(nb)
+                grow(untried + fresh, sofar + 1, newinst, left, right, taken, kept)
+                for nb in fresh:
+                    reached[nb] = 0
+                occupied[c] = 0
+                stack_cells.pop()
 
     reached[x0] = 1
     try:
-        grow([x0], 0, 0, x0, x0)
+        grow([x0], 0, 0, x0, x0, 0, bad)
     except RecursionError:
         raise _too_deep("shape growth", size) from None
 
@@ -584,16 +634,24 @@ def min_size_with_instances(
     counting bound: the instance whose anchor (its translate of
     ``pattern.cells[0]``) comes last in cell order has its other
     ``|pattern| - 1`` cells past every anchor, so ``count`` instances
-    need ``count + |pattern| - 1`` cells.  :func:`_growth_box` refuses
-    the sizes below its own bound at once.  Raises
+    need ``count + |pattern| - 1`` cells.  The walk starts at the first
+    of those sizes :func:`_growth_box` admits, found by bisection.  Raises
     :class:`NoWitnessError` when the cap is reached without a witness.
     One node budget covers every size.
     """
     config = config or SearchConfig.default()
     if count < 1:
         raise SearchError("need count >= 1")
+    sizes = range(count + len(pattern.cells) - 1, size_cap + 1)
+    # Admission is monotone in the size s: the clamped sides and the
+    # translates only grow with s, and the room left for s cells, W*H - s,
+    # is s*s - s, s*(s - count) - s or (s - count)**2 - s, each increasing
+    # once the sides are positive (s > count).
+    first = bisect.bisect_left(
+        sizes, True, key=lambda s: _growth_box(pattern, s, (s, s), count) is not None
+    )
     spent = 0
-    for cap in range(count + len(pattern.cells) - 1, size_cap + 1):
+    for cap in sizes[first:]:
         try:
             witnesses, nodes = _redelmeier_witnesses(
                 pattern, cap, (cap, cap), count, len(pattern.cells) * cap, config.node_limit - spent

@@ -422,9 +422,10 @@ def test_shape_census_budget_exit_3_for_every_thread_count(capsys, monkeypatch):
 
 
 def test_min_size_growth_node_regression(capsys, monkeypatch):
-    # The clamped box (5x5 at 13 cells) grows 180,561 cells over caps
-    # 3..13; a size x size box needs 596,894, past this budget.
-    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "200000")
+    # The clamped box (5x5 at 13 cells) and the dead-cell cut grow 16,003
+    # cells over sizes 12 and 13; the clamp alone needs 180,561 and a
+    # size x size box 596,894, past this budget.
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "25000")
     code, out, _ = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "8", "--cap", "13")
     assert code == 0
     doc = json.loads(out)
@@ -432,12 +433,12 @@ def test_min_size_growth_node_regression(capsys, monkeypatch):
 
 
 def test_min_size_budget_names_the_budget_and_size(capsys, monkeypatch):
-    # The budget runs out at 13 cells, having spent part of it on the
-    # sizes below; the message gives the budget as set.
-    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "100000")
+    # The budget runs out at 13 cells, having spent 912 of it on size 12;
+    # the message gives the budget as set.
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "10000")
     code, out, err = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "8", "--cap", "13")
     assert (code, out) == (3, "")
-    assert err == "budget exceeded: shape enumeration exceeded the 100000 node budget at size 13\n"
+    assert err == "budget exceeded: shape enumeration exceeded the 10000 node budget at size 13\n"
 
 
 def test_min_size_skips_the_sizes_no_box_admits():
@@ -452,6 +453,20 @@ def test_min_size_skips_the_sizes_no_box_admits():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: no shape of size <= 100000000 holds 100000000 instances\n"
+
+
+def test_min_size_bisects_to_the_first_admitted_size():
+    # 10**12 square instances: the first size the box admits lies about
+    # 10**6 sizes past the counting bound; a walk over them took seconds.
+    argv = ["min-size", "--pattern", "square", "--instances", str(10**12), "--cap", str(2 * 10**12)]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "prismatic.cli", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert time.perf_counter() - start < 3
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: shape growth of {10**12 + 10**6 + 1} cells passes ")
+    assert proc.stderr.count("\n") == 1
 
 
 def run_capped(*argv):
@@ -516,7 +531,7 @@ def test_dense_census_settles_without_growth(capsys, monkeypatch):
 
 def test_shape_census_six_by_six_box(capsys):
     # C(36, 14), about 3.8e9 box subsets, is past any subset scan; shape
-    # growth tries about 1.2M cells.
+    # growth tries 175,628 cells.
     code, out, _ = invoke(capsys, *CENSUS14, "--bbox", "6x6")
     assert code == 0
     lines = out.splitlines()

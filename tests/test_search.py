@@ -540,12 +540,10 @@ def test_searches_reject_nonpositive_colors(n):
             call()
 
 
-def _scan_candidates(pattern, n, size, bbox):
-    """Oracle for the census candidates: every size-cell subset of the
-    box as a bitmask, kept when it holds exactly n**|p| instances and is
-    connected."""
+def _scan_candidates(pattern, size, bbox, need, most):
+    """Oracle for growth: every size-cell subset of the box as a bitmask,
+    kept when it holds ``need`` to ``most`` instances and is connected."""
     width, height = bbox
-    target = n ** len(pattern)
     vec_masks = [
         sum(1 << (px + vx + width * (py + vy)) for px, py in pattern.cells)
         for vy in range(height - pattern.height + 1)
@@ -554,7 +552,7 @@ def _scan_candidates(pattern, n, size, bbox):
     forms = set()
     for comb in itertools.combinations(range(width * height), size):
         mask = sum(1 << b for b in comb)
-        if sum(mask & im == im for im in vec_masks) == target:
+        if need <= sum(mask & im == im for im in vec_masks) <= most:
             cells = [(b % width, b // width) for b in comb]
             if is_connected(cells):
                 forms.add(normalize(cells))
@@ -576,11 +574,62 @@ def _scan_candidates(pattern, n, size, bbox):
 @example(LTROMINO, 2, 4, 4, 11)
 @example(LTROMINO, 1, 4, 4, 4)
 def test_growth_matches_subset_scan(pattern, n, width, height, size):
-    expected = _scan_candidates(pattern, n, size, (width, height))
     target = n ** len(pattern)
+    expected = _scan_candidates(pattern, size, (width, height), target, target)
     grown, _ = _redelmeier_witnesses(
         pattern, size, (width, height), target, target, DEFAULT_NODE_LIMIT
     )
     assert grown == expected
     admitting = [s for s in expected if has_prismatic_coloring(s, pattern, n)]
     assert find_minimal_shapes(pattern, n, size, (width, height)) == admitting
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SMALL_PATTERNS + [SQUARE, TEE]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 16),
+    st.integers(0, 12),
+    st.integers(0, 12),
+)
+# The dead-cell cut fires in each of these.
+@example(SQUARE, 4, 4, 12, 6, 48)
+@example(SQUARE, 4, 4, 13, 9, 9)
+@example(TEE, 4, 4, 11, 4, 4)
+@example(TEE, 4, 4, 12, 5, 48)
+@example(LTROMINO, 4, 4, 13, 8, 39)
+@example(straight(3), 4, 4, 12, 6, 6)
+def test_growth_matches_subset_scan_for_any_instance_range(pattern, width, height, size, a, b):
+    need, most = sorted((a, b))
+    grown, _ = _redelmeier_witnesses(pattern, size, (width, height), need, most, DEFAULT_NODE_LIMIT)
+    assert grown == _scan_candidates(pattern, size, (width, height), need, most)
+
+
+def _min_size(pattern, count, cap):
+    return lambda limit: min_size_with_instances(pattern, count, cap, SearchConfig(node_limit=limit))
+
+
+def _grown(size):
+    return lambda limit: _redelmeier_witnesses(LTROMINO, size, (5, 5), 8, 8, limit)
+
+
+@pytest.mark.parametrize(
+    "query, cells",
+    [
+        (_min_size(LTROMINO, 8, 13), 16_003),
+        (_min_size(LTROMINO, 9, 16), 17_057),
+        (_min_size(SQUARE, 4, 10), 2_121),
+        (_min_size(TEE, 4, 10), 2_536),
+        (_min_size(_turned(TRANSPOSE, TEE), 4, 10), 1_395),
+        (_grown(13), 15_091),
+        (_grown(14), 51_696),
+    ],
+    ids=["ltromino-8", "ltromino-9", "square-4", "tee-4", "tee-4-transposed", "census-13", "census-14"],
+)
+def test_growth_cells_are_pinned(query, cells):
+    # Grown cells with the clamp alone: 180,561, 314,505, 13,057, 12,856
+    # (both tee orientations), 170,157 and 409,701.
+    query(cells)
+    with pytest.raises(BudgetExceededError):
+        query(cells - 1)
