@@ -24,7 +24,6 @@ unit of fan-out (:func:`_fan_out`) is one shape, searched whole.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -536,13 +535,19 @@ def _redelmeier_witnesses(
     # c - offsets[j]: bit c of ``bad >> shifts[j]``.  Banning cell c spoils
     # ``spread << c``, banning column x ``column << x``.
     shifts = [pad - off for off in offsets]
-    spread = sum(1 << s for s in shifts)
-    column = functools.reduce(operator.or_, (spread << (stride * y) for y in range(height)))
-    # Bit i + pad: cell i, from -pad up, lies outside the region.
-    walls = "".join("0" if a else "1" for a in reversed(allowed))
-    outside = int("1" * pad + walls + "1" * pad, 2)
-    bad = functools.reduce(operator.or_, (outside >> off for off in offsets))
     slack = size - need
+    # The cut needs more than ``slack`` occupied cells below the last
+    # level, so with ``slack >= size - 1`` (need <= 1) it never fires; the
+    # ints then stay 0 and each cell costs what it did without the cut.
+    counting = slack < size - 1
+    spread = column = bad = 0
+    if counting:
+        spread = sum(1 << s for s in shifts)
+        column = functools.reduce(operator.or_, (spread << (stride * y) for y in range(height)))
+        # Bit i + pad: cell i, from -pad up, lies outside the region.
+        walls = "".join("0" if a else "1" for a in reversed(allowed))
+        outside = int("1" * pad + walls + "1" * pad, 2)
+        bad = functools.reduce(operator.or_, (outside >> off for off in offsets))
 
     occupied = bytearray(total)
     reached = bytearray(total)
@@ -592,7 +597,7 @@ def _redelmeier_witnesses(
                 kept |= column << (hi - x0)
             elif left < lo:
                 kept |= column << (lo + x0)
-            taken = occ | 1 << c
+            taken = occ | 1 << c if counting else 0
             for s in roles:
                 if (kept >> s & taken).bit_count() > slack:
                     break
@@ -642,16 +647,20 @@ def min_size_with_instances(
     config = config or SearchConfig.default()
     if count < 1:
         raise SearchError("need count >= 1")
-    sizes = range(count + len(pattern.cells) - 1, size_cap + 1)
     # Admission is monotone in the size s: the clamped sides and the
     # translates only grow with s, and the room left for s cells, W*H - s,
     # is s*s - s, s*(s - count) - s or (s - count)**2 - s, each increasing
-    # once the sides are positive (s > count).
-    first = bisect.bisect_left(
-        sizes, True, key=lambda s: _growth_box(pattern, s, (s, s), count) is not None
-    )
+    # once the sides are positive (s > count).  The bisection runs on plain
+    # ints: a range past sys.maxsize entries has no len().
+    lo, hi = count + len(pattern.cells) - 1, size_cap + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _growth_box(pattern, mid, (mid, mid), count) is None:
+            lo = mid + 1
+        else:
+            hi = mid
     spent = 0
-    for cap in sizes[first:]:
+    for cap in range(lo, size_cap + 1):
         try:
             witnesses, nodes = _redelmeier_witnesses(
                 pattern, cap, (cap, cap), count, len(pattern.cells) * cap, config.node_limit - spent

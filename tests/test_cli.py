@@ -469,6 +469,21 @@ def test_min_size_bisects_to_the_first_admitted_size():
     assert proc.stderr.count("\n") == 1
 
 
+def test_min_size_answers_under_a_cap_past_sys_maxsize(capsys):
+    # The start is bisected over plain ints: a range of more than
+    # sys.maxsize sizes has no len().
+    code, out, err = invoke(
+        capsys, "min-size", "--pattern", "square", "--instances", "4", "--cap", str(10**20)
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["size"] == 9
+    code, out, err = invoke(
+        capsys, "min-size", "--pattern", "square", "--instances", str(10**20), "--cap", str(10**24)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: shape growth of ") and err.count("\n") == 1
+
+
 def run_capped(*argv):
     """Run the CLI in a child process held to 1.5 GB of address space and
     30 s, so that a runaway table or recursion fails there and only there."""
