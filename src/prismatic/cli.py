@@ -8,7 +8,6 @@ errors, 3 search budget exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -79,11 +78,14 @@ def _bbox_arg(spec: str) -> tuple[int, int]:
     return _spec_int(w), _spec_int(h)
 
 
+THREADS_HELP = "accepted, at least 1, no effect: every search runs in this process"
+
+
 def _config(args) -> search.SearchConfig:
     threads = getattr(args, "threads", 1)
     if threads < 1:
         raise search.SearchError(f"--threads must be at least 1, got {threads}")
-    return dataclasses.replace(search.SearchConfig.default(), threads=threads)
+    return search.SearchConfig.default()
 
 
 def _emit_colored(colored, ascii_out: bool) -> None:
@@ -294,12 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--emit", help="write JSONL here and print the count instead")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted; enumerate searches one shape in one process",
-    )
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("min-size", help="smallest shape carrying N pattern instances")
@@ -313,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--bbox", required=True, help="bounding box as WxH")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_shape_census)
 
     p = sub.add_parser("transform", help="apply a named lattice map to a cell set")

@@ -18,8 +18,8 @@ tree:
   cap, which at ``j = k`` is the duplicate check.
 
 Candidate shapes, for the census and for minimal-size witnesses, come
-from one rooted polyomino growth, :func:`_redelmeier_witnesses`.  The
-unit of fan-out (:func:`_fan_out`) is one shape, searched whole.
+from one rooted polyomino growth, :func:`_redelmeier_witnesses`.  Every
+search runs whole in the calling process, one shape at a time.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ import math
 import operator
 import os
 import sys
+# Unused here: perfbench/spans.py counts process pools by patching this name.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .lattice import (
     ColoredPolyomino,
@@ -63,13 +64,10 @@ class NoWitnessError(SearchError):
 class SearchConfig:
     """Shared search knobs.
 
-    ``threads`` is how many processes share the shape searches of a
-    census; one shape is always searched in one process.  ``node_limit``
-    bounds the color assignments one shape's search may try, whatever
-    ``threads`` is, and the cells a shape growth may try.
+    ``node_limit`` bounds the color assignments one shape's search may
+    try, and the cells a shape growth may try.
     """
 
-    threads: int = 1
     node_limit: int = DEFAULT_NODE_LIMIT
 
     @classmethod
@@ -77,10 +75,14 @@ class SearchConfig:
         raw = os.environ.get(ENV_NODE_LIMIT)
         if raw is None:
             return cls()
+        # ASCII digits only: int() also reads '1_000', ' 5' and '٣'.
         try:
-            return cls(node_limit=int(raw))
-        except ValueError:
-            raise SearchError(f"{ENV_NODE_LIMIT} must be an integer, got {raw!r}") from None
+            limit = int(raw) if raw.isascii() and raw.isdigit() else 0
+        except ValueError:  # past Python's digit limit
+            limit = 0
+        if limit < 1:
+            raise SearchError(f"{ENV_NODE_LIMIT} must be a positive integer, got {raw!r}")
+        return cls(node_limit=limit)
 
 
 # Missing pattern colorings a VerifyResult lists; the count is exact.
@@ -325,26 +327,6 @@ def _too_deep(what: str, cells: int) -> SearchError:
     )
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _fan_out(search: Callable[[Polyomino], object], shapes: list[Polyomino], threads: int) -> list:
-    """Apply ``search`` to every shape, in a process pool when there are
-    threads, shapes and CPUs to share; results keep the shape order.  One
-    shape is the unit of fan-out; the pool has no more workers than shapes
-    or usable CPUs."""
-    workers = min(threads, len(shapes), _usable_cpus())
-    if workers <= 1:
-        return list(map(search, shapes))
-    chunk = max(1, len(shapes) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(search, shapes, chunksize=chunk))
-
-
 def enumerate_prismatic_colorings(
     shape: Polyomino,
     pattern: Polyomino,
@@ -360,6 +342,9 @@ def enumerate_prismatic_colorings(
     config = config or SearchConfig.default()
     _need_colors(n)
     found, _ = _run_search(shape, pattern, n, config.node_limit)
+    if not found:
+        return []
+    # The shape carries n**k instances, so n is at most its cell count.
     perms = list(itertools.permutations(range(1, n + 1)))
     colorings = [tuple([p[c - 1] for c in word]) for word in found for p in perms]
     # Sort by the row-major color word, whatever order the search took.
@@ -392,17 +377,15 @@ def _census(
     with its canonical words, at most ``solution_cap`` of them.
 
     :func:`_redelmeier_witnesses` grows the candidates, the shapes with
-    exactly ``n**|pattern|`` instances, and :func:`_fan_out` searches each.
+    exactly ``n**|pattern|`` instances, and :func:`_run_search` searches
+    each, in shape order.
     """
     _need_colors(n)
     if size < 1 or min(bbox) < 1:
         raise SearchError("size and box sides must be positive")
     target = n ** len(pattern.cells)
     shapes, _ = _redelmeier_witnesses(pattern, size, bbox, target, target, config.node_limit)
-    search = functools.partial(
-        _run_search, pattern=pattern, n=n, node_limit=config.node_limit, solution_cap=solution_cap
-    )
-    found = _fan_out(search, shapes, config.threads)
+    found = [_run_search(shape, pattern, n, config.node_limit, solution_cap) for shape in shapes]
     return [(shape, words) for shape, (words, _) in zip(shapes, found) if words]
 
 

@@ -22,7 +22,6 @@ from prismatic import (
     random_polyomino,
     to_json,
 )
-from prismatic import search
 from prismatic.cli import run
 from prismatic.shapes import LTROMINO, straight, ziggurat
 
@@ -300,42 +299,6 @@ def test_threads_below_one_exit_2(capsys, args, threads):
     assert err == f"error: --threads must be at least 1, got {threads}\n"
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps serially."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
-
-
-@pytest.mark.parametrize(
-    "threads, cpus, sizes", [(8, 3, [3]), (2, 3, [2]), (16, 16, [9]), (8, 1, [])]
-)
-def test_pool_is_sized_from_jobs_and_cpus(capsys, monkeypatch, tmp_path, threads, cpus, sizes):
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
-    emit = str(tmp_path / "out.jsonl")
-    code, out, _ = invoke(capsys, *ENUMERATE5, "--emit", emit, "--threads", str(threads))
-    assert (code, out) == (0, "800\n")
-    # enumerate searches its one shape in this process.
-    assert RecordingPool.sizes == []
-    # The 13-cell census searches 9 candidates, one job each.
-    code, out, _ = invoke(capsys, *CENSUS13, "--threads", str(threads))
-    assert code == 0 and len(out.splitlines()) == 9
-    assert RecordingPool.sizes == sizes
-
-
 def test_enumerate_threads_identical(capsys):
     args = ("enumerate", "--shape", "ziggurat:3", "--pattern", "tee", "--colors", "1")
     code1, out1, _ = invoke(capsys, *args, "--threads", "1")
@@ -351,6 +314,15 @@ def test_enumerate_budget_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("limit", ["-5", "0", "1_000", "\u0663"])
+def test_malformed_node_limit_exits_2_with_one_line(capsys, monkeypatch, limit):
+    # int() alone reads '1_000' as 1000 and the Arabic-Indic digit as 3.
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", limit)
+    code, out, err = invoke(capsys, *ENUMERATE5)
+    assert (code, out) == (2, "")
+    assert err == f"error: PRISMATIC_NODE_LIMIT must be a positive integer, got {limit!r}\n"
 
 
 @pytest.mark.parametrize("limit, code", [(20_000, 3), (40_270, 3), (40_271, 0)])
@@ -517,6 +489,13 @@ def test_searches_past_the_recursion_limit_exit_2_with_one_line(argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "recursion limit" in proc.stderr
+
+
+def test_enumerate_without_a_coloring_builds_no_permutations():
+    # rect:3x3 holds 4 square instances, not 12**4, so there is nothing
+    # to print; the 12! color permutations would pass the memory cap.
+    proc = run_capped("enumerate", "--shape", "rect:3x3", "--pattern", "square", "--colors", "12")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 @pytest.mark.parametrize(

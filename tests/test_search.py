@@ -25,6 +25,7 @@ from prismatic import (
     random_polyomino,
     transport_coloring,
 )
+from prismatic.cli import run
 from prismatic.search import (
     DEFAULT_NODE_LIMIT,
     MISSING_SHOWN,
@@ -167,7 +168,7 @@ def test_straight_bridge_counts():
 
 
 def test_search_budget_enforced():
-    cfg = SearchConfig(threads=1, node_limit=50)
+    cfg = SearchConfig(node_limit=50)
     with pytest.raises(BudgetExceededError):
         enumerate_prismatic_colorings(SQUARE5_SHAPE, SQUARE, 2, cfg)
 
@@ -177,12 +178,6 @@ def test_search_config_env_override(monkeypatch):
     assert SearchConfig.default().node_limit == 12345
     monkeypatch.delenv("PRISMATIC_NODE_LIMIT")
     assert SearchConfig.default().node_limit == 200_000_000
-
-
-def test_threads_do_not_change_results():
-    serial = enumerate_prismatic_colorings(SHAPE_B, LTROMINO, 2, SearchConfig(threads=1))
-    pooled = enumerate_prismatic_colorings(SHAPE_B, LTROMINO, 2, SearchConfig(threads=3))
-    assert serial == pooled
 
 
 def test_min_size_square_single_instance():
@@ -494,13 +489,15 @@ def test_three_color_square_ten_by_ten_exists():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_node_budget_is_exact_for_every_thread_count(threads):
-    # 40,271 colors are tried on the 5x5 square, whatever the fan-out.
-    ok = SearchConfig(threads=threads, node_limit=40_271)
-    assert len(enumerate_prismatic_colorings(SQUARE5_SHAPE, SQUARE, 2, ok)) == 800
-    short = SearchConfig(threads=threads, node_limit=40_270)
-    with pytest.raises(BudgetExceededError):
-        enumerate_prismatic_colorings(SQUARE5_SHAPE, SQUARE, 2, short)
+def test_node_budget_is_exact_for_every_thread_count(threads, capsys, monkeypatch):
+    # 40,271 colors are tried on the 5x5 square; --threads leaves the count as it is.
+    argv = ["enumerate", "--shape", "rect:5x5", "--pattern", "square", "--colors", "2", "--threads", str(threads)]
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "40271")
+    assert run(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 800
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "40270")
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", "budget exceeded: search exceeded the 40270 node budget\n")
 
 
 def test_verifier_lists_the_first_missing_words():
