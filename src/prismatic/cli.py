@@ -8,6 +8,7 @@ errors, 3 search budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -76,6 +77,18 @@ def _bbox_arg(spec: str) -> tuple[int, int]:
     if not x:
         raise search.SearchError(f"want WxH, got {spec!r}")
     return _spec_int(w), _spec_int(h)
+
+
+def _int_arg(text: str) -> int:
+    """argparse type of every integer option: ASCII digits with an optional
+    leading '-'.  int() alone also reads '٢', '1_0' and ' 13'."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than Python reads
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 THREADS_HELP = "accepted, at least 1, no effect: every search runs in this process"
@@ -249,6 +262,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="prismatic",
@@ -257,12 +271,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seq", help="generate or enumerate de Bruijn sequences")
-    p.add_argument("-n", "--colors", type=int, required=True)
-    p.add_argument("-k", "--order", type=int, required=True)
+    p.add_argument("-n", "--colors", type=_int_arg, required=True)
+    p.add_argument("-k", "--order", type=_int_arg, required=True)
     p.add_argument("--method", choices=("greedy-least", "eulerian"), default="greedy-least")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--acyclic", action="store_true", help="emit the acyclic form")
-    p.add_argument("--start", type=int, default=0, help="cycle start for --acyclic")
+    p.add_argument("--start", type=_int_arg, default=0, help="cycle start for --acyclic")
     p.add_argument("--all", action="store_true", help="enumerate every cyclic sequence")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_seq)
@@ -273,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--locate",
         nargs=4,
-        type=int,
+        type=_int_arg,
         metavar=("W", "X", "Y", "Z"),
         help="locate the square colored W X over Y Z; prints 'i j'",
     )
@@ -294,23 +308,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list every de Bruijn coloring of a shape")
     p.add_argument("--shape", required=True, help="JSON file or rect:WxH, ziggurat:N, pyramid:N")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--colors", type=int, required=True)
+    p.add_argument("--colors", type=_int_arg, required=True)
     p.add_argument("--emit", help="write JSONL here and print the count instead")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p.add_argument("--threads", type=_int_arg, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("min-size", help="smallest shape carrying N pattern instances")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--instances", type=int, required=True)
-    p.add_argument("--cap", type=int, required=True, help="largest size to try")
+    p.add_argument("--instances", type=_int_arg, required=True)
+    p.add_argument("--cap", type=_int_arg, required=True, help="largest size to try")
     p.set_defaults(func=_cmd_min_size)
 
     p = sub.add_parser("shape-census", help="all fixed-size shapes admitting a coloring")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--colors", type=_int_arg, required=True)
+    p.add_argument("--size", type=_int_arg, required=True)
     p.add_argument("--bbox", required=True, help="bounding box as WxH")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p.add_argument("--threads", type=_int_arg, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_shape_census)
 
     p = sub.add_parser("transform", help="apply a named lattice map to a cell set")
@@ -321,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="closed-form counts")
     p.add_argument("what", choices=("cyclic", "acyclic", "cock"))
-    p.add_argument("-n", "--colors", type=int, required=True)
-    p.add_argument("-k", "--order", type=int)
+    p.add_argument("-n", "--colors", type=_int_arg, required=True)
+    p.add_argument("-k", "--order", type=_int_arg)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("render", help="render a JSON cell set")

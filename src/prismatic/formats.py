@@ -68,7 +68,8 @@ def parse_json(doc: dict) -> tuple[frozenset[Cell] | dict[Cell, int], int | None
     Returns ``(cells, None)`` for uncolored shapes and
     ``(mapping, n)`` for colorings.  ``n`` defaults to the largest color
     present when the document does not carry it.  ``x``, ``y``,
-    ``color`` and ``n`` must be integers.
+    ``color`` and ``n`` must be integers, ``n`` at least 1 and every
+    color in ``1..n``.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise LatticeError("document needs a 'cells' list")
@@ -85,6 +86,7 @@ def parse_json(doc: dict) -> tuple[frozenset[Cell] | dict[Cell, int], int | None
         if len(mapping) != len(records):
             raise LatticeError("duplicate cells in document")
         n = _int(doc, "n") if "n" in doc else max(mapping.values())
+        ColoredPolyomino.check_colors(n, mapping.values())
         return mapping, n
     cells = frozenset((_int(r, "x"), _int(r, "y")) for r in records)
     if len(cells) != len(records):

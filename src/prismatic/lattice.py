@@ -166,11 +166,16 @@ class ColoredPolyomino:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise LatticeError("need at least one color")
         if len(self.colors) != len(self.shape.cells):
             raise LatticeError("one color per cell required")
-        if any(c < 1 or c > self.n for c in self.colors):
+        self.check_colors(self.n, self.colors)
+
+    @staticmethod
+    def check_colors(n: int, colors: Iterable[int]) -> None:
+        """Raise unless ``n >= 1`` and every color lies in ``1..n``."""
+        if n < 1:
+            raise LatticeError("need at least one color")
+        if any(c < 1 or c > n for c in colors):
             raise LatticeError("colors must lie in 1..n")
 
     @classmethod

@@ -30,8 +30,6 @@ import math
 import operator
 import os
 import sys
-# Unused here: perfbench/spans.py counts process pools by patching this name.
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -43,6 +41,18 @@ from .lattice import (
     instance_cells,
     normalize,
 )
+
+
+def __getattr__(name: str):
+    # ProcessPoolExecutor, unused here: perfbench/spans.py counts process
+    # pools by patching this name.  Resolved on first use, since importing
+    # it loads multiprocessing.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 ENV_NODE_LIMIT = "PRISMATIC_NODE_LIMIT"
 DEFAULT_NODE_LIMIT = 200_000_000

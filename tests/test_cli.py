@@ -22,6 +22,7 @@ from prismatic import (
     random_polyomino,
     to_json,
 )
+from prismatic import cli
 from prismatic.cli import run
 from prismatic.shapes import LTROMINO, straight, ziggurat
 
@@ -220,6 +221,20 @@ def test_render_rejects_non_integer_n(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [("render", "--json"), ("transform", "--map", "row-shift")])
+@pytest.mark.parametrize(
+    "n, colors",
+    [(1, [5]), (-3, [-1]), (0, [1]), (2, [0, 1]), (None, [0, -2])],
+    ids=["above-n", "negative-n", "zero-n", "zero-color", "no-n-nonpositive"],
+)
+def test_render_and_transform_reject_colors_outside_1_to_n(capsys, command, n, colors):
+    cells = [{"x": x, "y": 0, "color": c} for x, c in enumerate(colors)]
+    doc = {"cells": cells} if n is None else {"n": n, "cells": cells}
+    code, out, err = invoke(capsys, command[0], "--input", json.dumps(doc), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_known_good_from_file(tmp_path, capsys):
     doc = to_json(two_coloring(SQUARE5_SHAPE, SQUARE5_TWOS))
     path = tmp_path / "coloring.json"
@@ -305,6 +320,39 @@ def test_enumerate_threads_identical(capsys):
     code8, out8, _ = invoke(capsys, *args, "--threads", "8")
     assert code1 == code8 == 0
     assert out1 == out8
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (("enumerate", "--shape", "rect:2x2", "--pattern", "straight:2", "--colors", "\u0662"), "\u0662"),
+        (("count", "cyclic", "-n", "\uff12", "-k", "3"), "\uff12"),
+        (("min-size", "--pattern", "square", "--instances", "1_0", "--cap", "13"), "1_0"),
+        (("min-size", "--pattern", "square", "--instances", "4", "--cap", " 13"), " 13"),
+        (("seq", "-n", "2", "-k", "+3"), "+3"),
+        (("seq", "-n", "2", "-k", "3", "--seed=-"), "-"),
+        (("shape-census", *CENSUS13[1:], "--threads", "2 "), "2 "),
+        (("cock", "--params", PARAMS3, "--locate", "1", "2", "2", "\u00b9"), "\u00b9"),
+    ],
+    ids=["arabic-indic", "fullwidth", "underscore", "space", "plus", "lone-minus", "trailing-space", "superscript"],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv, bad):
+    # int() alone reads every one of these; argparse must refuse them as it
+    # refuses "abc".
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"invalid int value: {bad!r}\n")
+
+
+def test_integer_options_keep_the_sign_and_every_digit(capsys):
+    code, out, err = invoke(capsys, "seq", "-n", "2", "-k", "3", "--seed", "-1")
+    assert (code, out, err) == (0, "(1,1,1,2,1,2,2,2)\n", "")
+    code, out, err = invoke(capsys, "count", "cyclic", "-n", "-1", "-k", "2")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, _ = invoke(capsys, "min-size", "--pattern", "square", "--instances", "04", "--cap", "0010")
+    assert (code, json.loads(out)["size"]) == (0, 9)
 
 
 def test_enumerate_budget_exit_3(capsys, monkeypatch):
@@ -669,6 +717,65 @@ def test_render_round_trip(capsys):
     code, out, _ = invoke(capsys, "render", "--input", doc, "--json")
     assert code == 0
     assert json.loads(out) == to_json(ziggurat(2))
+
+
+def test_one_parser_serves_a_sequence_of_commands(capsys, monkeypatch):
+    # The parser is built once per process; every call through it gives
+    # the stdout bytes and exit code of the same command run on its own.
+    good = json.dumps(to_json(two_coloring(SQUARE5_SHAPE, SQUARE5_TWOS)))
+    mutated = json.loads(good)
+    first, other = mutated["cells"][0], next(
+        c for c in mutated["cells"] if c["color"] != mutated["cells"][0]["color"]
+    )
+    first["color"], other["color"] = other["color"], first["color"]
+    steps = [
+        ((), ("verify", "--input", good, "--pattern", "square"), 0),
+        ((), ("verify", "--input", json.dumps(mutated), "--pattern", "square"), 1),
+        ((), ("enumerate", *ENUMERATE5[1:-1], "abc"), 2),
+        ((("PRISMATIC_NODE_LIMIT", "40"),), ENUMERATE5, 3),
+        ((), ("min-size", "--pattern", "square", "--instances", "4", "--cap", "10"), 0),
+        ((), ("verify", "--input", good, "--pattern", "square"), 0),
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    for env, argv, want in steps:
+        alone = subprocess.run(
+            [sys.executable, "-m", "prismatic.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, **dict(env)},
+        )
+        with monkeypatch.context() as m:
+            for key, value in env:
+                m.setenv(key, value)
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        assert (code, capsys.readouterr().out) == (alone.returncode, alone.stdout)
+        assert code == want
+
+
+def test_import_loads_no_process_pool():
+    # The pool name in prismatic.search resolves on first use only, so
+    # that importing the CLI loads no multiprocessing.
+    probe = (
+        "import sys, prismatic, prismatic.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+        "import concurrent.futures\n"
+        "print(prismatic.search.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)\n"
+        "try:\n"
+        "    prismatic.search.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "[]\nTrue\nmodule 'prismatic.search' has no attribute 'no_such_name'\n"
+    )
 
 
 def test_console_script_entry():
