@@ -31,11 +31,9 @@ from .lattice import (
 from .search import (
     BudgetExceededError,
     InstanceGraph,
-    SearchConfig,
     VerifyResult,
     bijection_check,
     enumerate_prismatic_colorings,
-    find_minimal_shapes,
     has_prismatic_coloring,
     instance_graph,
     is_debruijn_coloring,

@@ -32,8 +32,6 @@ def _read_doc(spec: str) -> dict:
 
 
 def _pattern_arg(spec: str) -> lattice.Polyomino:
-    if spec.startswith("straight:"):
-        return shapes.straight(_spec_int(spec.removeprefix("straight:")))
     try:
         return shapes.pattern_from_name(spec)
     except shapes.UnknownPatternError:
@@ -44,28 +42,15 @@ def _pattern_arg(spec: str) -> lattice.Polyomino:
     return lattice.normalize(cells)
 
 
-# Most digits a number in a shape, box or trim spec may have: a box only
-# bounds its shapes and a family shape stops at 10**6 cells.
-SPEC_DIGITS = 9
-
-
-def _spec_int(text: str) -> int:
-    """A number of a shape, box or trim spec.  ASCII digits only:
-    str.isdigit also accepts digits such as '²' that int() refuses."""
-    if not (text.isascii() and text.isdigit()) or len(text) > SPEC_DIGITS:
-        raise shapes.ShapeError(f"bad number {text!r}, want 1 to {SPEC_DIGITS} ASCII digits")
-    return int(text)
-
-
 def _shape_arg(spec: str) -> lattice.Polyomino:
     """A shape from a family spec (rect:5x5, ziggurat:5, pyramid:4) or JSON."""
     head, _, tail = spec.partition(":")
     if head == "rect" and tail:
         return shapes.rectangle(*_bbox_arg(tail))
     if head == "ziggurat" and tail:
-        return shapes.ziggurat(_spec_int(tail))
+        return shapes.ziggurat(shapes._spec_int(tail))
     if head == "pyramid" and tail:
-        return shapes.pyramid(_spec_int(tail))
+        return shapes.pyramid(shapes._spec_int(tail))
     try:
         return _pattern_arg(spec)
     except (OSError, json.JSONDecodeError):
@@ -76,7 +61,7 @@ def _bbox_arg(spec: str) -> tuple[int, int]:
     w, x, h = spec.partition("x")
     if not x:
         raise search.SearchError(f"want WxH, got {spec!r}")
-    return _spec_int(w), _spec_int(h)
+    return shapes._spec_int(w), shapes._spec_int(h)
 
 
 def _int_arg(text: str) -> int:
@@ -94,11 +79,9 @@ def _int_arg(text: str) -> int:
 THREADS_HELP = "accepted, at least 1, no effect: every search runs in this process"
 
 
-def _config(args) -> search.SearchConfig:
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        raise search.SearchError(f"--threads must be at least 1, got {threads}")
-    return search.SearchConfig.default()
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise search.SearchError(f"--threads must be at least 1, got {args.threads}")
 
 
 def _emit_colored(colored, ascii_out: bool) -> None:
@@ -140,7 +123,7 @@ def _cmd_shapes(args) -> int:
         corner, _, k = args.trim.rpartition(":")
         if not corner:
             raise shapes.BadTrimError(f"bad trim spec {args.trim!r}, want CORNER:K")
-        shape = shapes.pyramid_trimmed(_spec_int(args.size), corner, _spec_int(k))
+        shape = shapes.pyramid_trimmed(shapes._spec_int(args.size), corner, shapes._spec_int(k))
     else:
         shape = _shape_arg(f"{args.family}:{args.size}")
     if args.ascii:
@@ -177,9 +160,8 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     shape = _shape_arg(args.shape)
     pattern = _pattern_arg(args.pattern)
-    found = search.enumerate_prismatic_colorings(
-        shape, pattern, args.colors, _config(args)
-    )
+    _check_threads(args)
+    found = search.enumerate_prismatic_colorings(shape, pattern, args.colors)
     lines = (line + "\n" for line in formats.json_lines(found))
     if args.emit:
         with open(args.emit, "w") as fh:
@@ -192,7 +174,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_min_size(args) -> int:
     size, witnesses = search.min_size_with_instances(
-        _pattern_arg(args.pattern), args.instances, args.cap, _config(args)
+        _pattern_arg(args.pattern), args.instances, args.cap
     )
     print(
         json.dumps(
@@ -203,13 +185,9 @@ def _cmd_min_size(args) -> int:
 
 
 def _cmd_shape_census(args) -> int:
-    census = search.shape_census(
-        _pattern_arg(args.pattern),
-        args.colors,
-        args.size,
-        _bbox_arg(args.bbox),
-        _config(args),
-    )
+    pattern, bbox = _pattern_arg(args.pattern), _bbox_arg(args.bbox)
+    _check_threads(args)
+    census = search.shape_census(pattern, args.colors, args.size, bbox)
     for shape, count in census:
         doc = formats.to_json(shape)
         doc["colorings"] = count

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 # Generation and exhaustive enumeration are meant for desk scale.
-GENERATE_LIMIT = 2**20  # max n**k for generate_cyclic
+GENERATE_LIMIT = 2**20  # max n**k (k when n = 1) for generate_cyclic
 ENUMERATE_LIMIT = 2**20  # max count_cyclic(n, k) for enumerate_all_cyclic
 
 
@@ -60,6 +60,17 @@ def count_log10(n: int, k: int, cyclic: bool = True) -> float:
 def _check_order(n: int, k: int) -> None:
     if n < 1 or k < 1:
         raise SequenceError("need n >= 1 and k >= 1")
+
+
+def _check_length(n: int, k: int) -> None:
+    """Refuse (n, k) whose sequence passes :data:`GENERATE_LIMIT` symbols:
+    n**k of them, or for n = 1 the acyclic length n**k + k - 1 = k.  For
+    n >= 2, n**k >= 2**k, so k > 20 settles it without building n**k."""
+    if n == 1:
+        if k > GENERATE_LIMIT:
+            raise TooLargeError(f"k exceeds the {GENERATE_LIMIT} generation budget")
+    elif k > math.log2(GENERATE_LIMIT) or n**k > GENERATE_LIMIT:
+        raise TooLargeError(f"n**k exceeds the {GENERATE_LIMIT} generation budget")
 
 
 def _windows_distinct(symbols: Sequence[int], n: int, k: int, cyclic: bool) -> bool:
@@ -162,22 +173,20 @@ def acyclic_from_cyclic(seq: DeBruijnSequence, start: int = 0) -> DeBruijnSequen
 def _lex_least_cyclic(n: int, k: int) -> tuple[int, ...]:
     # Lyndon word concatenation; emits the lexicographically least cyclic
     # sequence, which reads the all-1 word first and always prefers the
-    # smallest feasible symbol.
+    # smallest feasible symbol.  Duval's loop walks the Lyndon words of
+    # length at most k in lexicographic order; those whose length divides
+    # k are concatenated.
     out: list[int] = []
-    word = [0] * (k + 1)
-
-    def extend(t: int, p: int) -> None:
-        if t > k:
-            if k % p == 0:
-                out.extend(word[1 : p + 1])
-            return
-        word[t] = word[t - p]
-        extend(t + 1, p)
-        for s in range(word[t - p] + 1, n):
-            word[t] = s
-            extend(t + 1, t)
-
-    extend(1, 1)
+    word = [-1]
+    while word:
+        word[-1] += 1
+        p = len(word)
+        if k % p == 0:
+            out.extend(word)
+        while len(word) < k:
+            word.append(word[-p])
+        while word and word[-1] == n - 1:
+            word.pop()
     return tuple(s + 1 for s in out)
 
 
@@ -222,10 +231,7 @@ def generate_cyclic(
     Eulerian circuit of the order-(k-1) transition graph.
     """
     _check_order(n, k)
-    # Without building n**k when k settles it: for n >= 2, n**k >= 2**k
-    # passes the budget once k > 20.
-    if n > 1 and k > math.log2(GENERATE_LIMIT) or n**k > GENERATE_LIMIT:
-        raise TooLargeError(f"n**k exceeds the {GENERATE_LIMIT} generation budget")
+    _check_length(n, k)
     if method == "greedy-least":
         symbols = _lex_least_cyclic(n, k)
     elif method == "eulerian":
@@ -240,7 +246,8 @@ def enumerate_all_cyclic(n: int, k: int) -> list[DeBruijnSequence]:
 
     Each class is reported by its lexicographically least rotation, which
     is the unique rotation starting with the all-1 window; results come
-    out in lexicographic order.  Guarded by :data:`ENUMERATE_LIMIT`.
+    out in lexicographic order.  Guarded by :data:`ENUMERATE_LIMIT` and,
+    as :func:`generate_cyclic` is, by :data:`GENERATE_LIMIT`.
     """
     if (
         count_log10(n, k) > math.log10(ENUMERATE_LIMIT) + 1
@@ -249,6 +256,7 @@ def enumerate_all_cyclic(n: int, k: int) -> list[DeBruijnSequence]:
         raise TooLargeError(
             f"would enumerate more than {ENUMERATE_LIMIT} sequences, over the budget"
         )
+    _check_length(n, k)
     length = n**k
     results: list[DeBruijnSequence] = []
     word = [1] * length

@@ -70,29 +70,24 @@ class NoWitnessError(SearchError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Shared search knobs.
-
-    ``node_limit`` bounds the color assignments one shape's search may
-    try, and the cells a shape growth may try.
-    """
-
-    node_limit: int = DEFAULT_NODE_LIMIT
-
-    @classmethod
-    def default(cls) -> "SearchConfig":
-        raw = os.environ.get(ENV_NODE_LIMIT)
-        if raw is None:
-            return cls()
-        # ASCII digits only: int() also reads '1_000', ' 5' and '٣'.
-        try:
-            limit = int(raw) if raw.isascii() and raw.isdigit() else 0
-        except ValueError:  # past Python's digit limit
-            limit = 0
-        if limit < 1:
-            raise SearchError(f"{ENV_NODE_LIMIT} must be a positive integer, got {raw!r}")
-        return cls(node_limit=limit)
+def _node_limit(node_limit: int | None) -> int:
+    """The node budget: ``node_limit`` when given, else
+    :data:`ENV_NODE_LIMIT` or :data:`DEFAULT_NODE_LIMIT`.  The budget
+    bounds the color assignments one shape's search may try, and the
+    cells a shape growth may try."""
+    if node_limit is not None:
+        return node_limit
+    raw = os.environ.get(ENV_NODE_LIMIT)
+    if raw is None:
+        return DEFAULT_NODE_LIMIT
+    # ASCII digits only: int() also reads '1_000', ' 5' and '٣'.
+    try:
+        limit = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # past Python's digit limit
+        limit = 0
+    if limit < 1:
+        raise SearchError(f"{ENV_NODE_LIMIT} must be a positive integer, got {raw!r}")
+    return limit
 
 
 # Missing pattern colorings a VerifyResult lists; the count is exact.
@@ -341,7 +336,7 @@ def enumerate_prismatic_colorings(
     shape: Polyomino,
     pattern: Polyomino,
     n: int,
-    config: SearchConfig | None = None,
+    node_limit: int | None = None,
 ) -> list[ColoredPolyomino]:
     """Every de Bruijn n-coloring of ``shape`` for ``pattern``.
 
@@ -349,9 +344,9 @@ def enumerate_prismatic_colorings(
     word.  A shape whose instance count differs from ``n**|pattern|``
     admits none and yields an empty list without searching.
     """
-    config = config or SearchConfig.default()
+    node_limit = _node_limit(node_limit)
     _need_colors(n)
-    found, _ = _run_search(shape, pattern, n, config.node_limit)
+    found, _ = _run_search(shape, pattern, n, node_limit)
     if not found:
         return []
     # The shape carries n**k instances, so n is at most its cell count.
@@ -366,51 +361,13 @@ def has_prismatic_coloring(
     shape: Polyomino,
     pattern: Polyomino,
     n: int,
-    config: SearchConfig | None = None,
+    node_limit: int | None = None,
 ) -> bool:
     """Existence version of :func:`enumerate_prismatic_colorings`."""
-    config = config or SearchConfig.default()
+    node_limit = _node_limit(node_limit)
     _need_colors(n)
-    words, _ = _run_search(shape, pattern, n, config.node_limit, solution_cap=1)
+    words, _ = _run_search(shape, pattern, n, node_limit, solution_cap=1)
     return bool(words)
-
-
-def _census(
-    pattern: Polyomino,
-    n: int,
-    size: int,
-    bbox: tuple[int, int],
-    config: SearchConfig,
-    solution_cap: int | None,
-) -> list[tuple[Polyomino, list[tuple[int, ...]]]]:
-    """Size-cell shapes in the box that admit a de Bruijn n-coloring, each
-    with its canonical words, at most ``solution_cap`` of them.
-
-    :func:`_redelmeier_witnesses` grows the candidates, the shapes with
-    exactly ``n**|pattern|`` instances, and :func:`_run_search` searches
-    each, in shape order.
-    """
-    _need_colors(n)
-    if size < 1 or min(bbox) < 1:
-        raise SearchError("size and box sides must be positive")
-    target = n ** len(pattern.cells)
-    shapes, _ = _redelmeier_witnesses(pattern, size, bbox, target, target, config.node_limit)
-    found = [_run_search(shape, pattern, n, config.node_limit, solution_cap) for shape in shapes]
-    return [(shape, words) for shape, (words, _) in zip(shapes, found) if words]
-
-
-def find_minimal_shapes(
-    pattern: Polyomino,
-    n: int,
-    size: int,
-    bbox: tuple[int, int],
-    config: SearchConfig | None = None,
-) -> list[Polyomino]:
-    """All size-cell shapes in the box that admit a de Bruijn n-coloring.
-
-    Canonical forms, sorted by their cell tuples.
-    """
-    return [s for s, _ in _census(pattern, n, size, bbox, config or SearchConfig.default(), 1)]
 
 
 def shape_census(
@@ -418,12 +375,24 @@ def shape_census(
     n: int,
     size: int,
     bbox: tuple[int, int],
-    config: SearchConfig | None = None,
+    node_limit: int | None = None,
 ) -> list[tuple[Polyomino, int]]:
-    """Like :func:`find_minimal_shapes` but with full coloring counts."""
+    """Size-cell shapes in the box that admit a de Bruijn n-coloring, each
+    with its coloring count; canonical forms, sorted by their cell tuples.
+
+    :func:`_redelmeier_witnesses` grows the candidates, the shapes with
+    exactly ``n**|pattern|`` instances, and :func:`_run_search` searches
+    each, in shape order.
+    """
+    node_limit = _node_limit(node_limit)
+    _need_colors(n)
+    if size < 1 or min(bbox) < 1:
+        raise SearchError("size and box sides must be positive")
+    target = n ** len(pattern.cells)
+    shapes, _ = _redelmeier_witnesses(pattern, size, bbox, target, target, node_limit)
+    found = [_run_search(shape, pattern, n, node_limit)[0] for shape in shapes]
     return [
-        (shape, len(words) * math.factorial(n))
-        for shape, words in _census(pattern, n, size, bbox, config or SearchConfig.default(), None)
+        (shape, len(words) * math.factorial(n)) for shape, words in zip(shapes, found) if words
     ]
 
 
@@ -623,7 +592,7 @@ def min_size_with_instances(
     pattern: Polyomino,
     count: int,
     size_cap: int,
-    config: SearchConfig | None = None,
+    node_limit: int | None = None,
 ) -> tuple[int, list[Polyomino]]:
     """Smallest cell count of a connected shape with >= ``count`` instances.
 
@@ -637,7 +606,7 @@ def min_size_with_instances(
     :class:`NoWitnessError` when the cap is reached without a witness.
     One node budget covers every size.
     """
-    config = config or SearchConfig.default()
+    node_limit = _node_limit(node_limit)
     if count < 1:
         raise SearchError("need count >= 1")
     # Admission is monotone in the size s: the clamped sides and the
@@ -656,11 +625,11 @@ def min_size_with_instances(
     for cap in range(lo, size_cap + 1):
         try:
             witnesses, nodes = _redelmeier_witnesses(
-                pattern, cap, (cap, cap), count, len(pattern.cells) * cap, config.node_limit - spent
+                pattern, cap, (cap, cap), count, len(pattern.cells) * cap, node_limit - spent
             )
         except BudgetExceededError:
             raise BudgetExceededError(
-                f"shape enumeration exceeded the {config.node_limit} node budget at size {cap}"
+                f"shape enumeration exceeded the {node_limit} node budget at size {cap}"
             ) from None
         spent += nodes
         if witnesses:

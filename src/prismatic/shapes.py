@@ -33,6 +33,19 @@ ELL = Polyomino(((0, 0), (0, 1), (1, 0), (2, 0)))
 LTROMINO = Polyomino(((0, 0), (0, 1), (1, 0)))
 
 
+# Most digits a number in a shape, pattern, box or trim spec may have: a
+# box only bounds its shapes and a family shape stops at 10**6 cells.
+SPEC_DIGITS = 9
+
+
+def _spec_int(text: str) -> int:
+    """A number of a shape, pattern, box or trim spec.  ASCII digits only:
+    str.isdigit also accepts digits such as '²' that int() refuses."""
+    if not (text.isascii() and text.isdigit()) or len(text) > SPEC_DIGITS:
+        raise ShapeError(f"bad number {text!r}, want 1 to {SPEC_DIGITS} ASCII digits")
+    return int(text)
+
+
 def _check_cells(count: int) -> None:
     """Refuse, before building it, a shape too large to render."""
     if count > ASCII_CELL_LIMIT:
@@ -61,10 +74,7 @@ def pattern_from_name(name: str) -> Polyomino:
     if name in _NAMED_PATTERNS:
         return _NAMED_PATTERNS[name]
     if name.startswith("straight:"):
-        try:
-            return straight(int(name.split(":", 1)[1]))
-        except ValueError:
-            raise UnknownPatternError(f"bad straight length in {name!r}") from None
+        return straight(_spec_int(name.removeprefix("straight:")))
     raise UnknownPatternError(
         f"unknown pattern {name!r}; known: {sorted(_NAMED_PATTERNS)} or straight:K"
     )

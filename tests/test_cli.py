@@ -368,9 +368,31 @@ def test_enumerate_budget_exit_3(capsys, monkeypatch):
 def test_malformed_node_limit_exits_2_with_one_line(capsys, monkeypatch, limit):
     # int() alone reads '1_000' as 1000 and the Arabic-Indic digit as 3.
     monkeypatch.setenv("PRISMATIC_NODE_LIMIT", limit)
-    code, out, err = invoke(capsys, *ENUMERATE5)
+    min_size = ("min-size", "--pattern", "ltromino", "--instances", "8", "--cap", "13")
+    for argv in (ENUMERATE5, min_size, CENSUS13):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: PRISMATIC_NODE_LIMIT must be a positive integer, got {limit!r}\n"
+
+
+@pytest.mark.parametrize(
+    "bbox, threads, limit, message",
+    [
+        ("5xx", "0", "0", "bad number 'x'"),
+        ("5x5", "0", "0", "--threads must be at least 1"),
+        ("5x5", "1", "0", "PRISMATIC_NODE_LIMIT must be"),
+        ("5x5", "1", "1000", "need n >= 1"),
+    ],
+    ids=["spec", "threads", "limit", "colors"],
+)
+def test_census_errors_come_in_order(capsys, monkeypatch, bbox, threads, limit, message):
+    # Specs, then --threads, then the node limit, then n: each case mends
+    # the error of the case before it, and --colors stays 0.
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", limit)
+    argv = ("--pattern", "ltromino", "--colors", "0", "--size", "13", "--bbox", bbox, "--threads", threads)
+    code, out, err = invoke(capsys, "shape-census", *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: PRISMATIC_NODE_LIMIT must be a positive integer, got {limit!r}\n"
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("limit, code", [(20_000, 3), (40_270, 3), (40_271, 0)])
@@ -537,6 +559,18 @@ def test_searches_past_the_recursion_limit_exit_2_with_one_line(argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "recursion limit" in proc.stderr
+
+
+def test_one_color_sequences_of_any_order():
+    # 1**k = 1, so k alone bounds the work: generation loops rather than
+    # recursing, and a k past the budget is refused before any list of k
+    # symbols is built.
+    proc = run_capped("seq", "-n", "1", "-k", "2000")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(1)\n", "")
+    for extra in ([], ["--method", "eulerian"], ["--all"]):
+        proc = run_capped("seq", "-n", "1", "-k", str(10**9), *extra)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_enumerate_without_a_coloring_builds_no_permutations():

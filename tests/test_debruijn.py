@@ -1,6 +1,7 @@
 """Cyclic and acyclic de Bruijn sequences: counts, checks, generators."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from prismatic.debruijn import (
     BadIndexError,
     SequenceError,
     TooLargeError,
+    count_log10,
     rotated,
 )
 
@@ -164,6 +166,27 @@ def test_enumerate_yields_distinct_valid_sequences():
     for s in seqs:
         assert is_cyclic_debruijn(s.symbols, 2, 4)
         assert s.symbols[:4] == (1, 1, 1, 1)
+
+
+# The enumeration budget admits every n >= 2 pair below with at most
+# 2**20 sequences; n >= 11 or k >= 6 pass it.  These are the pairs of at
+# most 2**15 sequences: (9, 1), (3, 3) and (10, 1) list 40,320 to 373,248
+# and take 1.4 to 36 s.
+ENUMERATED_PAIRS = [
+    (n, k) for n in range(2, 11) for k in range(1, 6) if count_log10(n, k) <= 15 * math.log10(2)
+]
+
+
+@pytest.mark.parametrize("n, k", ENUMERATED_PAIRS + [(1, 1), (1, 2), (1, 997), (1, 2000)])
+def test_generator_gives_the_first_enumerated_sequence(n, k):
+    assert generate_cyclic(n, k) == enumerate_all_cyclic(n, k)[0]
+
+
+def test_one_color_orders_past_the_budget_are_refused():
+    assert generate_cyclic(1, 2**20, method="eulerian").symbols == (1,)
+    for call in (generate_cyclic, enumerate_all_cyclic):
+        with pytest.raises(TooLargeError):
+            call(1, 2**20 + 1)
 
 
 def test_enumerate_rejects_huge_orders():

@@ -31,11 +31,10 @@ from prismatic.search import (
     MISSING_SHOWN,
     BudgetExceededError,
     NoWitnessError,
-    SearchConfig,
     SearchError,
+    _node_limit,
     _redelmeier_witnesses,
     _run_search,
-    find_minimal_shapes,
     shape_census,
 )
 from prismatic.shapes import (
@@ -168,16 +167,16 @@ def test_straight_bridge_counts():
 
 
 def test_search_budget_enforced():
-    cfg = SearchConfig(node_limit=50)
     with pytest.raises(BudgetExceededError):
-        enumerate_prismatic_colorings(SQUARE5_SHAPE, SQUARE, 2, cfg)
+        enumerate_prismatic_colorings(SQUARE5_SHAPE, SQUARE, 2, node_limit=50)
 
 
 def test_search_config_env_override(monkeypatch):
     monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "12345")
-    assert SearchConfig.default().node_limit == 12345
+    assert _node_limit(None) == 12345
+    assert _node_limit(50) == 50
     monkeypatch.delenv("PRISMATIC_NODE_LIMIT")
-    assert SearchConfig.default().node_limit == 200_000_000
+    assert _node_limit(None) == 200_000_000
 
 
 def test_min_size_square_single_instance():
@@ -281,17 +280,11 @@ def test_transpose_carries_square_solutions_onto_square_solutions():
     ids=["one-color", "bar", "bar-in-huge-box"],
 )
 def test_census_and_minimal_shapes(pattern, n, size, box, expected):
-    census = shape_census(pattern, n, size, box)
-    assert census == expected
-    assert find_minimal_shapes(pattern, n, size, box) == [shape for shape, _ in census]
-
-
-def test_find_minimal_shapes_negative():
-    # the 3x3 square has 4 square instances, 2 colors need 16
-    assert find_minimal_shapes(SQUARE, 2, 9, (3, 3)) == []
+    assert shape_census(pattern, n, size, box) == expected
 
 
 def test_census_empty_when_no_shape_qualifies():
+    # the 3x3 square has 4 square instances, 2 colors need 16
     assert shape_census(SQUARE, 2, 9, (3, 3)) == []
 
 
@@ -462,8 +455,9 @@ def test_enumeration_commutes_with_orientation(shape, n):
 def test_three_color_rect_4x10_is_cheap_in_every_orientation(g):
     # Row-major order took 1,799,006 nodes on rect(4, 10) and 529,148 on
     # its transpose; the estimated cheapest order takes 155 on both.
-    config = SearchConfig(node_limit=1000)
-    assert has_prismatic_coloring(_turned(g, rectangle(4, 10)), _turned(g, LTROMINO), 3, config)
+    assert has_prismatic_coloring(
+        _turned(g, rectangle(4, 10)), _turned(g, LTROMINO), 3, node_limit=1000
+    )
 
 
 def test_transposed_ziggurat_search_node_count():
@@ -529,7 +523,6 @@ def test_searches_reject_nonpositive_colors(n):
     calls = [
         lambda: enumerate_prismatic_colorings(SHAPE_A, LTROMINO, n),
         lambda: has_prismatic_coloring(SHAPE_A, LTROMINO, n),
-        lambda: find_minimal_shapes(LTROMINO, n, 3, (2, 2)),
         lambda: shape_census(LTROMINO, n, 3, (2, 2)),
     ]
     for call in calls:
@@ -578,7 +571,7 @@ def test_growth_matches_subset_scan(pattern, n, width, height, size):
     )
     assert grown == expected
     admitting = [s for s in expected if has_prismatic_coloring(s, pattern, n)]
-    assert find_minimal_shapes(pattern, n, size, (width, height)) == admitting
+    assert [s for s, _ in shape_census(pattern, n, size, (width, height))] == admitting
 
 
 @settings(max_examples=60, deadline=None)
@@ -604,7 +597,7 @@ def test_growth_matches_subset_scan_for_any_instance_range(pattern, width, heigh
 
 
 def _min_size(pattern, count, cap):
-    return lambda limit: min_size_with_instances(pattern, count, cap, SearchConfig(node_limit=limit))
+    return lambda limit: min_size_with_instances(pattern, count, cap, node_limit=limit)
 
 
 def _grown(size):

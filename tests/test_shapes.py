@@ -61,8 +61,10 @@ def test_pattern_from_name():
     assert pattern_from_name("straight:5") == straight(5)
     with pytest.raises(UnknownPatternError):
         pattern_from_name("plus")
-    with pytest.raises(UnknownPatternError):
-        pattern_from_name("straight:x")
+    # int() reads all but the first; a spec number is 1 to 9 ASCII digits.
+    for bad in ("straight:x", "straight:1_0", "straight:\u0663", "straight: 4", "straight:+2"):
+        with pytest.raises(ShapeError, match="^bad number "):
+            pattern_from_name(bad)
 
 
 def test_ziggurat_structure():
