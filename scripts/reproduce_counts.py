@@ -27,6 +27,35 @@ from prismatic import (
 from prismatic.shapes import LTROMINO, SQUARE, TEE, rectangle, straight, ziggurat
 
 
+# The 8 symmetries of the square lattice, as (x, y) -> (a x + b y, c x + d y).
+ISOMETRIES = [
+    (1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+    (-1, 0, 0, 1), (1, 0, 0, -1), (0, -1, -1, 0), (0, 1, 1, 0),
+]
+
+
+def orbit_count(colorings) -> int:
+    """Orbits of colorings of one shape under the lattice symmetries that
+    fix the shape, together with the color permutations: each orbit is
+    named by its least image, as a sorted cell -> color list with colors
+    renamed in order of first appearance."""
+    shape = set(colorings[0].shape.cells)
+    least = set()
+    for colored in colorings:
+        names = []
+        pairs = colored.mapping().items()
+        for a, b, c, d in ISOMETRIES:
+            image = [((a * x + b * y, c * x + d * y), col) for (x, y), col in pairs]
+            mx, my = min(x for (x, _), _ in image), min(y for (_, y), _ in image)
+            moved = sorted(((x - mx, y - my), col) for (x, y), col in image)
+            if {cell for cell, _ in moved} != shape:
+                continue
+            rename: dict[int, int] = {}
+            names.append([(cell, rename.setdefault(col, len(rename) + 1)) for cell, col in moved])
+        least.add(tuple(min(names)))
+    return len(least)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -45,16 +74,12 @@ def main() -> int:
         print(f"{'ok  ' if ok else 'FAIL'} {label}: {got} (expected {want})")
 
     t0 = time.time()
-    check(
-        "square tetromino colorings of the 5x5 square, 2 colors",
-        len(enumerate_prismatic_colorings(rectangle(5, 5), SQUARE, 2)),
-        800,
-    )
-    check(
-        "tee tetromino colorings of ziggurat(5), 2 colors",
-        len(enumerate_prismatic_colorings(ziggurat(5), TEE, 2)),
-        168,
-    )
+    square5 = enumerate_prismatic_colorings(rectangle(5, 5), SQUARE, 2)
+    check("square tetromino colorings of the 5x5 square, 2 colors", len(square5), 800)
+    check("  orbits under the box's 8 symmetries and the color swap", orbit_count(square5), 50)
+    zig5 = enumerate_prismatic_colorings(ziggurat(5), TEE, 2)
+    check("tee tetromino colorings of ziggurat(5), 2 colors", len(zig5), 168)
+    check("  orbits under the mirror and the color swap", orbit_count(zig5), 42)
 
     grids = [cock_construct(p) for p in all_params(2)]
     check("parameterized 2-color constructions", len(grids), cock_count(2))

@@ -2,7 +2,7 @@
 
 Machine-readable payloads go to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 a verification answered false, 2 usage or data
-errors, 3 search budget exceeded.
+errors, 3 search budget exceeded or a MemoryError.
 """
 
 from __future__ import annotations
@@ -335,6 +335,10 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except search.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # What the command built is freed by now, so the line prints.
+        print("budget exceeded: out of memory", file=sys.stderr)
         return 3
     except (
         lattice.LatticeError,

@@ -175,7 +175,8 @@ class ColoredPolyomino:
         """Raise unless ``n >= 1`` and every color lies in ``1..n``."""
         if n < 1:
             raise LatticeError("need at least one color")
-        if any(c < 1 or c > n for c in colors):
+        colors = tuple(colors)
+        if colors and (min(colors) < 1 or max(colors) > n):
             raise LatticeError("colors must lie in 1..n")
 
     @classmethod

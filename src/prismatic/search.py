@@ -5,21 +5,35 @@ of p inside S pick up every n-coloring of p exactly once.  The searches
 here assign colors cell by cell in one of the 8 row- or column-major
 scan orders, the one with the smallest estimated tree for the shape
 (:func:`_cell_table`); results still come out in lexicographic order of
-the row-major (top row first) color word.  Two exact cuts shrink the
+the row-major (top row first) color word.  Three exact cuts shrink the
 tree:
 
 * color symmetry: a de Bruijn coloring uses every color, so the n!
   color permutations act freely on the solutions and the search keeps
   only canonical words, in which color c + 1 never comes before color c
-  (value precedence); callers expand each word by the permutations;
+  (value precedence);
+* lattice symmetry: an integer map of determinant +-1 that carries both
+  the pattern and the shape onto translates of themselves carries
+  de Bruijn colorings to de Bruijn colorings (:func:`_stabilizer`,
+  :func:`_shape_group`; for the zee these are the row-shift conjugates
+  of the square's 8 symmetries).  The search keeps a word w only while
+  w <= pi(g w) for every such map g and color permutation pi, so it
+  keeps about one word per orbit of the maps and the permutations
+  together (lex-leader constraints, Crawford, Ginsberg, Luks and Roy,
+  KR 1996, which value precedence joins soundly, Law and Lee, CP 2004);
+  callers expand the kept words by both groups;
 * prefix counts: every pattern coloring occurs once, so at most
   ``n**(k - j)`` instances may read the same first j colors (k pattern
   cells, in scan order); a branch dies as soon as one prefix passes its
   cap, which at ``j = k`` is the duplicate check.
 
+Every cut removes only words that are not the least of their orbit, so
+the least de Bruijn word of a shape is still the first one found.
+
 Candidate shapes, for the census and for minimal-size witnesses, come
-from one rooted polyomino growth, :func:`_redelmeier_witnesses`.  Every
-search runs whole in the calling process, one shape at a time.
+from one rooted polyomino growth, :func:`_redelmeier_witnesses`; the
+census searches one shape per orbit of the pattern's maps.  Every search
+runs whole in the calling process, one shape at a time.
 """
 
 from __future__ import annotations
@@ -246,6 +260,139 @@ def _cell_table(
     return step, through
 
 
+_IDENTITY = (1, 0, 0, 1)
+# The 8 isometries of the square lattice that fix the origin, as matrices
+# (a, b, c, d) of (x, y) -> (a x + b y, c x + d y): one entry +-1 in each
+# row and column.
+_ISOMETRIES = tuple(
+    (a, b, c, d)
+    for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
+    if a * b == c * d == 0 and abs(a * d - b * c) == 1
+)
+
+
+def _moved(cells: Iterable[Vec], m: tuple[int, int, int, int]) -> tuple[Vec, ...]:
+    """The image of ``cells`` under the matrix ``m``, translated to
+    min x = min y = 0 and sorted.  No connectivity check: an image under
+    a map that is no isometry may fall apart."""
+    a, b, c, d = m
+    image = [(a * x + b * y, c * x + d * y) for x, y in cells]
+    mx = min(x for x, _ in image)
+    my = min(y for _, y in image)
+    return tuple(sorted((x - mx, y - my) for x, y in image))
+
+
+@functools.lru_cache(maxsize=16)
+def _stabilizer(pattern: Polyomino) -> tuple[tuple[int, int, int, int], ...]:
+    """The integer matrices of determinant +-1, in the
+    :data:`~prismatic.lattice.LATTICE_MAPS` convention, that carry
+    ``pattern`` onto a translate of itself; the identity first.
+
+    Such a map sends instances of ``pattern`` to instances, so it carries
+    de Bruijn colorings of a shape to de Bruijn colorings of the image.
+    A pattern with a cell c that has a horizontal neighbour h and a
+    vertical one v (every pattern two or more cells wide and high has
+    one) spans the lattice from c, and a map in the group sends c, h and
+    v to three pattern cells, which fix it; so every choice of three is
+    tried.  The group then holds more than isometries: the row-shift
+    conjugates of the square's 8 symmetries fix the zee.  A one-row or
+    one-column pattern is fixed by infinitely many shears; only the
+    isometries among its maps are kept.
+    """
+    cells = pattern.cell_set
+    if pattern.width == 1 or pattern.height == 1:
+        maps = list(_ISOMETRIES)
+    else:
+        cx, cy = next(
+            (x, y)
+            for x, y in pattern.cells
+            if {(x - 1, y), (x + 1, y)} & cells and {(x, y - 1), (x, y + 1)} & cells
+        )
+        sx = 1 if (cx + 1, cy) in cells else -1
+        sy = 1 if (cx, cy + 1) in cells else -1
+        maps = []
+        for (x1, y1), (x2, y2), (x3, y3) in itertools.permutations(pattern.cells, 3):
+            a, c, b, d = sx * (x2 - x1), sx * (y2 - y1), sy * (x3 - x1), sy * (y3 - y1)
+            if abs(a * d - b * c) == 1:
+                maps.append((a, b, c, d))
+    kept = {m for m in maps if _moved(pattern.cells, m) == pattern.cells}
+    return tuple(sorted(kept, key=lambda m: (m != _IDENTITY, m)))
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_group(shape: Polyomino, pattern: Polyomino) -> tuple[tuple[int, ...], ...]:
+    """The maps of :func:`_stabilizer` that also carry ``shape`` onto a
+    translate of itself, as permutations of cell indices: ``g[i]`` is
+    the index of the image of ``shape.cells[i]``.  Distinct permutations
+    other than the identity only.
+
+    A map that moves the shape onto its translate by t moves the sum of
+    its cells onto that sum plus ``len(shape) * t``, so t is known
+    before any cell is moved, and most maps fail on that sum alone."""
+    index_of = {cell: i for i, cell in enumerate(shape.cells)}.get
+    size = len(shape.cells)
+    sx = sum(x for x, _ in shape.cells)
+    sy = sum(y for _, y in shape.cells)
+    group = set()
+    for a, b, c, d in _stabilizer(pattern)[1:]:
+        tx, rx = divmod(sx - a * sx - b * sy, size)
+        ty, ry = divmod(sy - c * sx - d * sy, size)
+        if rx or ry:
+            continue
+        g = []
+        for x, y in shape.cells:
+            i = index_of((a * x + b * y + tx, c * x + d * y + ty))
+            if i is None:
+                break
+            g.append(i)
+        else:
+            group.add(tuple(g))
+    group.discard(tuple(range(size)))
+    return tuple(sorted(group))
+
+
+def _lex_leader_checks(
+    step: list[int], group: tuple[tuple[int, ...], ...], n: int
+) -> tuple[list[list[tuple[int, list[int], tuple[tuple[int, int], ...]]]], list[int], int]:
+    """The lex-leader comparisons, as ``(due, back, every)``.
+
+    ``due[t]`` lists the comparisons step t makes possible, as ``(bit,
+    labels, pairs)``: ``bit`` names the map, ``pairs`` the (position,
+    source) pairs of scan-order word positions it compares there, and
+    ``labels`` is the map's own color relabeling, filled in as the
+    search goes.  ``back[t]`` is the last step before t with a
+    comparison, or -1, and ``every`` has the bits of all maps.
+
+    The word w read through g, its image under the inverse of g (also in
+    ``group``), holds ``w[src[p]]`` at position p.  Position p can be
+    compared once the search has colored both p and ``src[p]``, and only
+    after every earlier position, so at the step ``max(q, src[q] for
+    q <= p)``.  A map whose first comparison falls on the last step is
+    left out: it could cut no branch.
+    """
+    order = [0] * len(step)
+    for i, t in enumerate(step):
+        order[t] = i
+    due: list[list] = [[] for _ in step]
+    bit = 1
+    for g in group:
+        src = [step[g[i]] for i in order]
+        ready = list(itertools.accumulate(map(max, range(len(src)), src), max))
+        if ready[0] == len(step) - 1:
+            continue
+        at: dict[int, list[tuple[int, int]]] = {}
+        for p, t in enumerate(ready):
+            at.setdefault(t, []).append((p, src[p]))
+        labels = [0] * (n + 1)
+        for t, pairs in at.items():
+            due[t].append((bit, labels, tuple(pairs)))
+        bit <<= 1
+    back = [-1] * len(step)
+    for t in range(1, len(step)):
+        back[t] = t - 1 if due[t - 1] else back[t - 1]
+    return due, back, bit - 1
+
+
 def _need_colors(n: int) -> None:
     if n < 1:
         raise SearchError("need n >= 1")
@@ -263,11 +410,20 @@ def _run_search(
     searching when the instance count is not ``n**|pattern|``.
 
     Colorings are color tuples in ``shape.cells`` order, emitted in
-    lexicographic order of their scan-order word, and canonical: in scan
-    order color c + 1 never appears before color c.  There are exactly
-    ``n**k`` instances, so every solution uses all n colors and is one
-    color permutation of exactly one canonical coloring.
-    ``solution_cap`` stops after so many results.
+    lexicographic order of their scan-order word w, and canonical: in
+    scan order color c + 1 never appears before color c, and w is no
+    greater than pi(g w) for any map g of :func:`_shape_group` and color
+    permutation pi, save the maps :func:`_lex_leader_checks` leaves out.
+    There are exactly ``n**k`` instances, so every solution uses all n
+    colors, and every de Bruijn coloring is an image of at least one
+    returned coloring (:func:`_orbit_classes`).  ``solution_cap`` stops
+    after so many results.
+
+    For one g the least pi(g w) is g w with its colors renamed in order
+    of first appearance, so one relabeling per map stands for all n!
+    permutations.  While w ties with it, ``labels[x]`` is the name of
+    image color x and ``labels[0]`` the number named; w is canonical, so
+    a color new to the image ties only with a color new to w.
     """
     table = _cell_table(shape, pattern, n)
     if table is None:
@@ -283,17 +439,59 @@ def _run_search(
         room += [n ** (k - j)] * n**j
     # keys[i] codes the colors instance i has so far.
     keys = [0] * n**k
-    colors = [0] * len(through)
+    colors = [0] * len(step)
     results: list[tuple[int, ...]] = []
     nodes = 0
+    group = _shape_group(shape, pattern) if n > 1 else ()
+    checks, back, every = _lex_leader_checks(step, group, n)
+    steps = list(zip(through, checks))
+    # hues[top]: the colors a step may take once colors 1..top are used.
+    hues = [range(1, min(n, top + 1) + 1) for top in range(n + 1)]
+    # ties[t]: the maps still tied after the checks at step t, one bit
+    # each; ties[-1] holds every map.  wrote: the label writes, as
+    # (step, labels, color), in the order made.
+    ties = [0] * len(step) + [every]
+    wrote: list[tuple[int, list[int], int]] = []
+
+    def lead(t: int, due: list, live: int) -> int:
+        """Make the comparisons ``due`` at step t for the maps still tied,
+        the bits of ``live``; returns the maps still tied after them, or
+        -1 when the word is past an image."""
+        # Writes from step t on belong to branches the search has left.
+        # Earlier ones belong to this branch: a step that skips lead has
+        # no map tied, and neither has any step below it, so no read
+        # meets a write left behind.
+        while wrote and wrote[-1][0] >= t:
+            _, labels, x = wrote.pop()
+            labels[x] = 0
+            labels[0] -= 1
+        for bit, labels, pairs in due:
+            if live & bit:
+                for p, s in pairs:
+                    y, x = colors[p], colors[s]
+                    z = labels[x]
+                    if not z:
+                        # x is new in the image, so relabeled it is the next
+                        # color; y is at most that, and equal when new too.
+                        z = labels[0] + 1
+                        if y == z:
+                            labels[x] = labels[0] = z
+                            wrote.append((t, labels, x))
+                            continue
+                    if y != z:
+                        if y > z:
+                            return -1
+                        live ^= bit
+                        break
+        return live
 
     def place(t: int, top: int) -> bool:
         nonlocal nodes
-        if t == len(through):
+        if t == len(steps):
             results.append(tuple(map(colors.__getitem__, step)))
             return solution_cap is None or len(results) < solution_cap
-        ids = through[t]
-        for c in range(1, min(n, top + 1) + 1):
+        ids, due = steps[t]
+        for c in hues[top]:
             nodes += 1
             if nodes > node_limit:
                 raise BudgetExceededError(
@@ -306,6 +504,13 @@ def _run_search(
                     break
             else:
                 colors[t] = c
+                if due:
+                    tied = ties[back[t]]
+                    if tied:
+                        tied = lead(t, due, tied)
+                        if tied < 0:
+                            continue
+                    ties[t] = tied
                 for i in ids:
                     code = keys[i] * n + c
                     room[code] -= 1
@@ -351,10 +556,33 @@ def enumerate_prismatic_colorings(
         return []
     # The shape carries n**k instances, so n is at most its cell count.
     perms = list(itertools.permutations(range(1, n + 1)))
-    colorings = [tuple([p[c - 1] for c in word]) for word in found for p in perms]
+    classes = _orbit_classes(shape, pattern, n, found)
+    colorings = [tuple([p[c - 1] for c in word]) for word in classes for p in perms]
     # Sort by the row-major color word, whatever order the search took.
     colorings.sort(key=operator.itemgetter(*_scan_orders(shape)[0]))
     return [ColoredPolyomino(shape, n, colors) for colors in colorings]
+
+
+def _orbit_classes(
+    shape: Polyomino, pattern: Polyomino, n: int, words: list[tuple[int, ...]]
+) -> list[tuple[int, ...]] | set[tuple[int, ...]]:
+    """One coloring per color-permutation class of every de Bruijn
+    coloring of ``shape``, given the colorings :func:`_run_search`
+    returned: their images under the shape's group, each with its colors
+    renamed 1, 2, ... in cell order, or ``words`` itself when the group
+    is trivial.  Each class holds n! colorings."""
+    group = _shape_group(shape, pattern) if n > 1 else ()
+    if not group:
+        return words
+    classes = set()
+    for g in (range(len(shape.cells)), *group):
+        for word in words:
+            # Each g in the group comes with its inverse, so reading the
+            # word through g gives the same images as moving it by g.
+            image = [word[i] for i in g]
+            rank = dict(zip(dict.fromkeys(image), range(1, n + 1)))
+            classes.add(tuple(map(rank.__getitem__, image)))
+    return classes
 
 
 def has_prismatic_coloring(
@@ -382,7 +610,7 @@ def shape_census(
 
     :func:`_redelmeier_witnesses` grows the candidates, the shapes with
     exactly ``n**|pattern|`` instances, and :func:`_run_search` searches
-    each, in shape order.
+    the first of each orbit under :func:`_stabilizer`, in shape order.
     """
     node_limit = _node_limit(node_limit)
     _need_colors(n)
@@ -390,10 +618,20 @@ def shape_census(
         raise SearchError("size and box sides must be positive")
     target = n ** len(pattern.cells)
     shapes, _ = _redelmeier_witnesses(pattern, size, bbox, target, target, node_limit)
-    found = [_run_search(shape, pattern, n, node_limit)[0] for shape in shapes]
-    return [
-        (shape, len(words) * math.factorial(n)) for shape, words in zip(shapes, found) if words
-    ]
+    # A map of the pattern's stabilizer carries the colorings of a shape
+    # one to one onto those of its image, so one search counts the images
+    # on the list too.  The maps cost |pattern|**3 to find, and with one
+    # color a shape has one coloring, so they are found only when needed.
+    maps = _stabilizer(pattern) if shapes and n > 1 else (_IDENTITY,)
+    counts: dict[tuple[Vec, ...], int] = {}
+    for shape in shapes:
+        if shape.cells in counts:
+            continue
+        words, _ = _run_search(shape, pattern, n, node_limit)
+        count = len(_orbit_classes(shape, pattern, n, words)) * math.factorial(n)
+        for m in maps:
+            counts.setdefault(_moved(shape.cells, m), count)
+    return [(shape, counts[shape.cells]) for shape in shapes if counts[shape.cells]]
 
 
 def _growth_box(

@@ -395,10 +395,10 @@ def test_census_errors_come_in_order(capsys, monkeypatch, bbox, threads, limit, 
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("limit, code", [(20_000, 3), (40_270, 3), (40_271, 0)])
+@pytest.mark.parametrize("limit, code", [(10_000, 3), (13_060, 3), (13_061, 0)])
 def test_enumerate_budget_is_global_across_threads(capsys, monkeypatch, limit, code):
-    # The search of rect:5x5 tries 40,271 colors.  enumerate runs it in
-    # one process for every --threads, so the budget fails below 40,271
+    # The search of rect:5x5 tries 13,061 colors.  enumerate runs it in
+    # one process for every --threads, so the budget fails below 13,061
     # and passes at it whatever the thread count.
     monkeypatch.setenv("PRISMATIC_NODE_LIMIT", str(limit))
     args = ("enumerate", "--shape", "rect:5x5", "--pattern", "square", "--colors", "2")
@@ -526,12 +526,13 @@ def test_min_size_answers_under_a_cap_past_sys_maxsize(capsys):
     assert err.startswith("error: shape growth of ") and err.count("\n") == 1
 
 
-def run_capped(*argv):
-    """Run the CLI in a child process held to 1.5 GB of address space and
-    30 s, so that a runaway table or recursion fails there and only there."""
+def run_capped(*argv, address_space=1_500_000 * 1024):
+    """Run the CLI in a child process held to ``address_space`` bytes (1.5
+    GB unless given) and 30 s, so that a runaway table or recursion fails
+    there and only there."""
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+        resource.setrlimit(resource.RLIMIT_AS, (address_space,) * 2)
 
     return subprocess.run(
         [sys.executable, "-m", "prismatic.cli", *argv],
@@ -559,6 +560,24 @@ def test_searches_past_the_recursion_limit_exit_2_with_one_line(argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "recursion limit" in proc.stderr
+
+
+def test_running_out_of_memory_exits_3_with_one_line():
+    # The 9-color bar's colorings outgrow 100 MB well inside the node
+    # budget; a traceback with exit 1 it was.
+    argv = ("enumerate", "--shape", "rect:731x1", "--pattern", "straight:3", "--colors", "9")
+    proc = run_capped(*argv, address_space=100 * 1024 * 1024)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "budget exceeded: out of memory\n"
+
+
+def test_memory_error_from_any_command_exits_3(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.search, "min_size_with_instances", exhausted)
+    code, out, err = invoke(capsys, "min-size", "--pattern", "straight:1", "--instances", "30", "--cap", "40")
+    assert (code, out, err) == (3, "", "budget exceeded: out of memory\n")
 
 
 def test_one_color_sequences_of_any_order():

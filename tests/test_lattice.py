@@ -120,6 +120,22 @@ def test_colored_polyomino_validation():
         ColoredPolyomino(SQUARE, 2, (1, 2, 1))  # wrong length
 
 
+@pytest.mark.parametrize(
+    "n, colors, ok",
+    [(2, (1, 2), True), (2, (0, 1), False), (2, (2, 3), False), (3, (), True), (1, (1,), True)],
+)
+def test_check_colors_reads_any_iterable_once(n, colors, ok):
+    mapping = dict(enumerate(colors))
+    for given in (colors, list(colors), iter(colors), (c for c in colors), mapping.values()):
+        if ok:
+            ColoredPolyomino.check_colors(n, given)
+        else:
+            with pytest.raises(LatticeError, match=r"^colors must lie in 1\.\.n$"):
+                ColoredPolyomino.check_colors(n, given)
+    with pytest.raises(LatticeError, match="^need at least one color$"):
+        ColoredPolyomino.check_colors(0, colors)
+
+
 def test_colored_from_mapping_normalizes():
     cp = ColoredPolyomino.from_mapping({(5, 5): 1, (6, 5): 2}, 2)
     assert cp.shape.cells == ((0, 0), (1, 0))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -35,6 +36,8 @@ from prismatic.search import (
     _node_limit,
     _redelmeier_witnesses,
     _run_search,
+    _shape_group,
+    _stabilizer,
     shape_census,
 )
 from prismatic.shapes import (
@@ -61,6 +64,7 @@ from goldens import (
     SQUARE5_TWOS,
     TRUNC13_SHAPE,
     TRUNC13_TWOS,
+    ZEE_STAIR_SHAPE,
     ZIG5_SHAPE,
     ZIG5_TEE_TWOS,
     shape_from_rows,
@@ -386,15 +390,22 @@ def test_solutions_closed_under_color_permutation(shape, n):
 
 
 @pytest.mark.parametrize(
-    "shape, pattern, count, cap",
-    [(rectangle(5, 5), SQUARE, 800, 45_000), (ziggurat(5), TEE, 168, 35_000)],
+    "shape, pattern, count, nodes",
+    [
+        (rectangle(5, 5), SQUARE, 800, 13_061),
+        (ziggurat(5), TEE, 168, 17_163),
+        (ZEE_STAIR_SHAPE, ZEE, 800, 13_061),
+    ],
 )
-def test_search_node_count_regression(shape, pattern, count, cap):
+def test_search_node_count_regression(shape, pattern, count, nodes):
     # 223,978 and 238,994 nodes without the color-symmetry and
-    # prefix-count cuts; the symmetry alone halves them at n = 2.
-    words, nodes = _run_search(shape, pattern, 2, 10**9)
-    assert len(words) * 2 == count
-    assert nodes <= cap
+    # prefix-count cuts; the color symmetry alone halves them at n = 2,
+    # to 40,271 (the square and the zee) and 32,381.  The lattice maps cut
+    # the rest, in either orientation.
+    for g in (SYMMETRIES[0], TRANSPOSE):
+        turned, turned_pattern = _turned(g, shape), _turned(g, pattern)
+        assert _run_search(turned, turned_pattern, 2, 10**9)[1] == nodes
+        assert len(enumerate_prismatic_colorings(turned, turned_pattern, 2)) == count
 
 
 # The 8 symmetries of the square lattice, as matrices (a, b, c, d) of
@@ -461,10 +472,11 @@ def test_three_color_rect_4x10_is_cheap_in_every_orientation(g):
 
 
 def test_transposed_ziggurat_search_node_count():
-    # 37,751 nodes in row-major order.
+    # 37,751 nodes in row-major order, 32,381 with the color symmetry
+    # alone.
     shape, pattern = _turned(TRANSPOSE, ziggurat(5)), _turned(TRANSPOSE, TEE)
     words, nodes = _run_search(shape, pattern, 2, 10**9)
-    assert (len(words) * 2, nodes) == (168, 32_381)
+    assert (len(enumerate_prismatic_colorings(shape, pattern, 2)), nodes) == (168, 17_163)
     # The colorings come back in cell order, whatever order the search took.
     for word in words:
         assert is_debruijn_coloring(ColoredPolyomino(shape, 2, word), pattern)
@@ -472,10 +484,119 @@ def test_transposed_ziggurat_search_node_count():
 
 def test_census_search_node_total():
     # The 196 census shapes of 14 cells in 5x5 took 129,394 nodes in
-    # row-major order.
+    # row-major order, and 110,826 before the lattice maps cut.
     shapes, _ = _redelmeier_witnesses(LTROMINO, 14, (5, 5), 8, 8, DEFAULT_NODE_LIMIT)
     assert len(shapes) == 196
-    assert sum(_run_search(s, LTROMINO, 2, 10**9)[1] for s in shapes) <= 110_826
+    assert sum(_run_search(s, LTROMINO, 2, 10**9)[1] for s in shapes) == 108_404
+
+
+ALL_ISOMETRIES = set(SYMMETRIES)
+
+
+@pytest.mark.parametrize(
+    "pattern, size",
+    [(SQUARE, 8), (TEE, 2), (ZEE, 8), (ELL, 2), (LTROMINO, 6), (straight(1), 8), (straight(3), 4)],
+    ids=["square", "tee", "zee", "ell", "ltromino", "straight-1", "straight-3"],
+)
+def test_pattern_stabilizer(pattern, size):
+    maps = _stabilizer(pattern)
+    assert len(maps) == len(set(maps)) == size
+    assert maps[0] == (1, 0, 0, 1)
+    for m in maps:
+        a, b, c, d = m
+        assert abs(a * d - b * c) == 1
+        # The image of the pattern is a translate of it, so it is connected.
+        assert _turned(m, pattern) == pattern
+    # No other map with small entries fixes the pattern; a bar is fixed by
+    # shears too, and only its isometries are kept.
+    small = itertools.product(range(-3, 4), repeat=4)
+    fixing = {m for m in small if abs(m[0] * m[3] - m[1] * m[2]) == 1 and _fixes(m, pattern)}
+    if pattern.height == 1:
+        fixing &= ALL_ISOMETRIES
+    assert set(maps) == fixing
+
+
+def _fixes(m, pattern):
+    a, b, c, d = m
+    image = [(a * x + b * y, c * x + d * y) for x, y in pattern.cells]
+    mx, my = min(x for x, _ in image), min(y for _, y in image)
+    return sorted((x - mx, y - my) for x, y in image) == list(pattern.cells)
+
+
+def test_zee_stair_has_the_squares_group():
+    # The row-shift conjugates of the square's 8 symmetries fix the zee
+    # stair, the row-shift image of the 5x5 box.
+    assert len(_shape_group(rectangle(5, 5), SQUARE)) == 7
+    assert len(_shape_group(ZEE_STAIR_SHAPE, ZEE)) == 7
+    assert len(_shape_group(ziggurat(5), TEE)) == 1
+
+
+def _census_shapes(size):
+    return _redelmeier_witnesses(LTROMINO, size, (5, 5), 8, 8, DEFAULT_NODE_LIMIT)[0]
+
+
+def _brute_force(shape, pattern, n):
+    """Every n-coloring of ``shape`` whose instances read distinct words,
+    in row-major order; with exactly n**k instances those are the de
+    Bruijn ones."""
+    table = instance_cells(pattern, shape)
+    if len(table) != n ** len(pattern):
+        return []
+    reads = [operator.itemgetter(*ids) for ids in table]
+    found = [
+        colors
+        for colors in itertools.product(range(1, n + 1), repeat=len(shape))
+        if len({read(colors) for read in reads}) == len(reads)
+    ]
+    return sorted(
+        (ColoredPolyomino(shape, n, colors) for colors in found), key=_row_major_word
+    )
+
+
+def test_symmetric_shapes_match_brute_force():
+    shapes = _census_shapes(13) + [s for s in _census_shapes(14) if _shape_group(s, LTROMINO)]
+    cases = [(s, LTROMINO) for s in shapes] + [(straight(10), straight(3))]
+    assert len(cases) == 9 + 18 + 1
+    for shape, pattern in cases:
+        expected = _brute_force(shape, pattern, 2)
+        assert enumerate_prismatic_colorings(shape, pattern, 2) == expected
+        assert all(is_debruijn_coloring(c, pattern) for c in expected)
+
+
+def _symmetrized(shape, axis):
+    """``shape`` together with its mirror image in the line x = 0
+    (axis 0) or y = 0 (axis 1); the two share that column or row."""
+    if axis == 0:
+        return normalize(set(shape.cells) | {(-x, y) for x, y in shape.cells})
+    return normalize(set(shape.cells) | {(x, -y) for x, y in shape.cells})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(_symmetrized, grown_shapes(max_size=7), st.integers(0, 1)), st.integers(1, 3))
+@example(rectangle(5, 5), 2)
+@example(ZEE_STAIR_SHAPE, 2)
+@example(ziggurat(5), 2)
+@example(ELL_STAIR_SHAPE, 2)
+@example(straight(10), 3)
+@example(next(s for s in _census_shapes(14) if _shape_group(s, LTROMINO)), 2)
+def test_enumeration_is_closed_under_the_shapes_maps(shape, n):
+    patterns = [ZEE, TEE, ELL, *SMALL_PATTERNS, SQUARE]
+    pattern = next((p for p in patterns if len(instances_of(p, shape)) == n ** len(p)), SQUARE)
+    found = set(enumerate_prismatic_colorings(shape, pattern, n))
+    for m in _stabilizer(pattern):
+        if _fixes(m, shape):
+            assert {_turned_coloring(m, c) for c in found} == found
+    for perm in itertools.permutations(range(1, n + 1)):
+        renamed = {ColoredPolyomino(shape, n, tuple(perm[c - 1] for c in s.colors)) for s in found}
+        assert renamed == found
+
+
+@pytest.mark.parametrize("size", [13, 14])
+def test_census_counts_match_direct_enumeration(size):
+    census = shape_census(LTROMINO, 2, size, (5, 5))
+    assert [s for s, _ in census] == _census_shapes(size)
+    for shape, count in census:
+        assert count == len(enumerate_prismatic_colorings(shape, LTROMINO, 2))
 
 
 def test_three_color_square_ten_by_ten_exists():
@@ -484,14 +605,14 @@ def test_three_color_square_ten_by_ten_exists():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_node_budget_is_exact_for_every_thread_count(threads, capsys, monkeypatch):
-    # 40,271 colors are tried on the 5x5 square; --threads leaves the count as it is.
+    # 13,061 colors are tried on the 5x5 square; --threads leaves the count as it is.
     argv = ["enumerate", "--shape", "rect:5x5", "--pattern", "square", "--colors", "2", "--threads", str(threads)]
-    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "40271")
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "13061")
     assert run(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 800
-    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "40270")
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "13060")
     assert run(argv) == 3
-    assert capsys.readouterr() == ("", "budget exceeded: search exceeded the 40270 node budget\n")
+    assert capsys.readouterr() == ("", "budget exceeded: search exceeded the 13060 node budget\n")
 
 
 def test_verifier_lists_the_first_missing_words():
