@@ -84,11 +84,12 @@ def _check_threads(args) -> None:
         raise search.SearchError(f"--threads must be at least 1, got {args.threads}")
 
 
-def _emit_colored(colored, ascii_out: bool) -> None:
+def _emit(obj, ascii_out: bool, n: int | None = None) -> None:
+    """Print a shape, coloring or cell set as an ASCII grid or one JSON line."""
     if ascii_out:
-        print(formats.ascii_render(colored))
+        print(formats.ascii_render(obj))
     else:
-        print(json.dumps(formats.to_json(colored)))
+        print(json.dumps(formats.to_json(obj, n)))
 
 
 def _cmd_seq(args) -> int:
@@ -112,7 +113,7 @@ def _cmd_cock(args) -> int:
         i, j = cockmod.cock_locate(params, w, x, y, z)
         print(f"{i} {j}")
         return 0
-    _emit_colored(cockmod.cock_construct(params), args.ascii)
+    _emit(cockmod.cock_construct(params), args.ascii)
     return 0
 
 
@@ -126,10 +127,7 @@ def _cmd_shapes(args) -> int:
         shape = shapes.pyramid_trimmed(shapes._spec_int(args.size), corner, shapes._spec_int(k))
     else:
         shape = _shape_arg(f"{args.family}:{args.size}")
-    if args.ascii:
-        print(formats.ascii_render(shape))
-    else:
-        print(json.dumps(formats.to_json(shape)))
+    _emit(shape, args.ascii)
     return 0
 
 
@@ -233,10 +231,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_render(args) -> int:
     cells, n = formats.parse_json(_read_doc(args.input))
-    if args.json:
-        print(json.dumps(formats.to_json(cells, n)))
-    else:
-        print(formats.ascii_render(cells))
+    _emit(cells, not args.json, n)
     return 0
 
 

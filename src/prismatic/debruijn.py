@@ -163,11 +163,10 @@ def acyclic_from_cyclic(seq: DeBruijnSequence, start: int = 0) -> DeBruijnSequen
         raise SequenceError("input must be cyclic")
     if not 0 <= start < len(seq.symbols):
         raise BadIndexError(f"start must lie in 0..{len(seq.symbols) - 1}")
-    length = len(seq.symbols)
-    symbols = tuple(
-        seq.symbols[(start + i) % length] for i in range(length + seq.k - 1)
-    )
-    return DeBruijnSequence(seq.n, seq.k, symbols, cyclic=False)
+    symbols = rotated(seq.symbols, start)
+    # The one-color cycle (1,) is shorter than the k - 1 symbols it repeats.
+    wrap = symbols[: seq.k - 1] if seq.n > 1 else symbols * (seq.k - 1)
+    return DeBruijnSequence(seq.n, seq.k, symbols + wrap, cyclic=False)
 
 
 def _lex_least_cyclic(n: int, k: int) -> tuple[int, ...]:
@@ -195,19 +194,14 @@ def _eulerian_cyclic(n: int, k: int, rng: random.Random) -> tuple[int, ...]:
     # whose edges append one symbol; edge pick order is rng-shuffled.
     start = (1,) * (k - 1)
     out_edges: dict[tuple[int, ...], list[int]] = {}
-
-    def edges_for(v: tuple[int, ...]) -> list[int]:
-        syms = list(range(1, n + 1))
-        rng.shuffle(syms)
-        return syms
-
     stack = [start]
     sym_stack: list[int] = []
     circuit: list[int] = []
     while stack:
         v = stack[-1]
         if v not in out_edges:
-            out_edges[v] = edges_for(v)
+            out_edges[v] = list(range(1, n + 1))
+            rng.shuffle(out_edges[v])
         if out_edges[v]:
             s = out_edges[v].pop()
             stack.append((v + (s,))[1:])

@@ -209,12 +209,13 @@ def _distinct_shares(words: int) -> tuple[float, ...]:
 
 def _cell_table(
     shape: Polyomino, pattern: Polyomino, n: int
-) -> tuple[list[int], list[list[int]]] | None:
-    """Where the search colors each cell, and what it checks there:
-    ``step[i]`` is the search step that colors ``shape.cells[i]`` and
-    ``through[t]`` the instances through that cell.  ``None`` when the
-    shape does not carry exactly ``n**|pattern|`` instances, so admits
-    no coloring.
+) -> tuple[list[int], list[int], list[list[int]]] | None:
+    """Where the search colors each cell, and what it checks there, as
+    ``(order, step, through)``: ``order[t]`` is the index in
+    ``shape.cells`` of the cell colored at step t, ``step`` is its
+    inverse and ``through[t]`` lists the instances through that cell.
+    ``None`` when the shape does not carry exactly ``n**|pattern|``
+    instances, so admits no coloring.
 
     Any translation-invariant order keeps the order of a translate's
     cells, so the cell colored at step ``t`` is the next uncolored cell of
@@ -228,9 +229,11 @@ def _cell_table(
     prefixes of t + 1 cells whose m_t complete instances read distinct
     words.  Every order ends on the same last term, and each term is
     taken relative to it, as a power of n times a :func:`_distinct_shares`
-    entry; ties keep the first order.
+    entry; on a tie the first order is kept.
     """
     table = instance_cells(pattern, shape)
+    if _surely_more_words(n, len(pattern.cells), len(table)):
+        return None
     words = n ** len(pattern.cells)
     if len(table) != words:
         return None
@@ -257,7 +260,14 @@ def _cell_table(
     for inst, ids in enumerate(table):
         for i in ids:
             through[step[i]].append(inst)
-    return step, through
+    return order, step, through
+
+
+def _surely_more_words(n: int, k: int, count: int) -> bool:
+    """Whether ``n**k > count`` follows without building ``n**k``, which
+    may have millions of digits: for n >= 2, n**k >= 2**k, and 2**k
+    passes ``count`` once k reaches its bit length."""
+    return n > 1 and k >= count.bit_length()
 
 
 _IDENTITY = (1, 0, 0, 1)
@@ -271,15 +281,20 @@ _ISOMETRIES = tuple(
 )
 
 
-def _moved(cells: Iterable[Vec], m: tuple[int, int, int, int]) -> tuple[Vec, ...]:
-    """The image of ``cells`` under the matrix ``m``, translated to
-    min x = min y = 0 and sorted.  No connectivity check: an image under
-    a map that is no isometry may fall apart."""
+def _image(cells: Iterable[Vec], m: tuple[int, int, int, int]) -> list[Vec]:
+    """The images of ``cells`` under the matrix ``m``, in input order,
+    translated to min x = min y = 0.  No connectivity check: an image
+    under a map that is no isometry may fall apart."""
     a, b, c, d = m
     image = [(a * x + b * y, c * x + d * y) for x, y in cells]
     mx = min(x for x, _ in image)
     my = min(y for _, y in image)
-    return tuple(sorted((x - mx, y - my) for x, y in image))
+    return [(x - mx, y - my) for x, y in image]
+
+
+def _moved(cells: Iterable[Vec], m: tuple[int, int, int, int]) -> tuple[Vec, ...]:
+    """:func:`_image`, sorted."""
+    return tuple(sorted(_image(cells, m)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -324,44 +339,28 @@ def _shape_group(shape: Polyomino, pattern: Polyomino) -> tuple[tuple[int, ...],
     """The maps of :func:`_stabilizer` that also carry ``shape`` onto a
     translate of itself, as permutations of cell indices: ``g[i]`` is
     the index of the image of ``shape.cells[i]``.  Distinct permutations
-    other than the identity only.
-
-    A map that moves the shape onto its translate by t moves the sum of
-    its cells onto that sum plus ``len(shape) * t``, so t is known
-    before any cell is moved, and most maps fail on that sum alone."""
-    index_of = {cell: i for i, cell in enumerate(shape.cells)}.get
-    size = len(shape.cells)
-    sx = sum(x for x, _ in shape.cells)
-    sy = sum(y for _, y in shape.cells)
+    other than the identity only."""
+    index_of = {cell: i for i, cell in enumerate(shape.cells)}
     group = set()
-    for a, b, c, d in _stabilizer(pattern)[1:]:
-        tx, rx = divmod(sx - a * sx - b * sy, size)
-        ty, ry = divmod(sy - c * sx - d * sy, size)
-        if rx or ry:
-            continue
-        g = []
-        for x, y in shape.cells:
-            i = index_of((a * x + b * y + tx, c * x + d * y + ty))
-            if i is None:
-                break
-            g.append(i)
-        else:
-            group.add(tuple(g))
-    group.discard(tuple(range(size)))
+    for m in _stabilizer(pattern)[1:]:
+        image = _image(shape.cells, m)
+        if tuple(sorted(image)) == shape.cells:
+            group.add(tuple(map(index_of.__getitem__, image)))
+    group.discard(tuple(range(len(shape.cells))))
     return tuple(sorted(group))
 
 
 def _lex_leader_checks(
-    step: list[int], group: tuple[tuple[int, ...], ...], n: int
-) -> tuple[list[list[tuple[int, list[int], tuple[tuple[int, int], ...]]]], list[int], int]:
-    """The lex-leader comparisons, as ``(due, back, every)``.
+    order: list[int], step: list[int], group: tuple[tuple[int, ...], ...], n: int
+) -> tuple[list[list[tuple[int, list[int], tuple[tuple[int, int], ...]]]], int]:
+    """The lex-leader comparisons, as ``(due, every)``, for the scan
+    ``order`` and its inverse ``step`` of :func:`_cell_table`.
 
     ``due[t]`` lists the comparisons step t makes possible, as ``(bit,
     labels, pairs)``: ``bit`` names the map, ``pairs`` the (position,
     source) pairs of scan-order word positions it compares there, and
     ``labels`` is the map's own color relabeling, filled in as the
-    search goes.  ``back[t]`` is the last step before t with a
-    comparison, or -1, and ``every`` has the bits of all maps.
+    search goes.  ``every`` has the bits of all maps.
 
     The word w read through g, its image under the inverse of g (also in
     ``group``), holds ``w[src[p]]`` at position p.  Position p can be
@@ -370,9 +369,6 @@ def _lex_leader_checks(
     q <= p)``.  A map whose first comparison falls on the last step is
     left out: it could cut no branch.
     """
-    order = [0] * len(step)
-    for i, t in enumerate(step):
-        order[t] = i
     due: list[list] = [[] for _ in step]
     bit = 1
     for g in group:
@@ -387,10 +383,7 @@ def _lex_leader_checks(
         for t, pairs in at.items():
             due[t].append((bit, labels, tuple(pairs)))
         bit <<= 1
-    back = [-1] * len(step)
-    for t in range(1, len(step)):
-        back[t] = t - 1 if due[t - 1] else back[t - 1]
-    return due, back, bit - 1
+    return due, bit - 1
 
 
 def _need_colors(n: int) -> None:
@@ -421,14 +414,14 @@ def _run_search(
 
     For one g the least pi(g w) is g w with its colors renamed in order
     of first appearance, so one relabeling per map stands for all n!
-    permutations.  While w ties with it, ``labels[x]`` is the name of
+    permutations.  While w is tied with it, ``labels[x]`` is the name of
     image color x and ``labels[0]`` the number named; w is canonical, so
-    a color new to the image ties only with a color new to w.
+    a color new to the image is tied only with a color new to w.
     """
     table = _cell_table(shape, pattern, n)
     if table is None:
         return [], 0
-    step, through = table
+    order, step, through = table
     k = len(pattern.cells)
     # A prefix of j colors is coded in bijective base n: the empty prefix
     # is 0 and appending color c maps code to code * n + c.  Each word
@@ -443,14 +436,11 @@ def _run_search(
     results: list[tuple[int, ...]] = []
     nodes = 0
     group = _shape_group(shape, pattern) if n > 1 else ()
-    checks, back, every = _lex_leader_checks(step, group, n)
+    checks, every = _lex_leader_checks(order, step, group, n)
     steps = list(zip(through, checks))
     # hues[top]: the colors a step may take once colors 1..top are used.
     hues = [range(1, min(n, top + 1) + 1) for top in range(n + 1)]
-    # ties[t]: the maps still tied after the checks at step t, one bit
-    # each; ties[-1] holds every map.  wrote: the label writes, as
-    # (step, labels, color), in the order made.
-    ties = [0] * len(step) + [every]
+    # wrote: the label writes, as (step, labels, color), in the order made.
     wrote: list[tuple[int, list[int], int]] = []
 
     def lead(t: int, due: list, live: int) -> int:
@@ -485,7 +475,9 @@ def _run_search(
                         break
         return live
 
-    def place(t: int, top: int) -> bool:
+    def place(t: int, top: int, tied: int) -> bool:
+        """Color step t on, with colors 1..top used so far and the maps
+        still tied with the word, one bit each, in ``tied``."""
         nonlocal nodes
         if t == len(steps):
             results.append(tuple(map(colors.__getitem__, step)))
@@ -504,18 +496,16 @@ def _run_search(
                     break
             else:
                 colors[t] = c
-                if due:
-                    tied = ties[back[t]]
-                    if tied:
-                        tied = lead(t, due, tied)
-                        if tied < 0:
-                            continue
-                    ties[t] = tied
+                live = tied
+                if due and tied:
+                    live = lead(t, due, tied)
+                    if live < 0:
+                        continue
                 for i in ids:
                     code = keys[i] * n + c
                     room[code] -= 1
                     keys[i] = code
-                alive = place(t + 1, c if c > top else top)
+                alive = place(t + 1, c if c > top else top, live)
                 for i in ids:
                     code = keys[i]
                     room[code] += 1
@@ -525,7 +515,7 @@ def _run_search(
         return True
 
     try:
-        place(0, 0)
+        place(0, 0, every)
     except RecursionError:
         raise _too_deep("coloring search", len(through)) from None
     return results, nodes
@@ -616,6 +606,10 @@ def shape_census(
     _need_colors(n)
     if size < 1 or min(bbox) < 1:
         raise SearchError("size and box sides must be positive")
+    # Each instance has its own anchor cell, so a shape holds at most
+    # ``size`` instances.
+    if _surely_more_words(n, len(pattern.cells), size):
+        return []
     target = n ** len(pattern.cells)
     shapes, _ = _redelmeier_witnesses(pattern, size, bbox, target, target, node_limit)
     # A map of the pattern's stabilizer carries the colorings of a shape

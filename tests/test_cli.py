@@ -511,6 +511,24 @@ def test_min_size_bisects_to_the_first_admitted_size():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--shape", "rect:2x1"],
+        ["shape-census", "--size", "3", "--bbox", "3x3"],
+    ],
+    ids=["enumerate", "shape-census"],
+)
+def test_searches_skip_a_power_past_the_shapes_cells(capsys, argv):
+    # n**2000 with a 4001-digit n took seconds to build; 2**2000 already
+    # passes every instance count these shapes can hold.
+    colors = str(10**4000)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv, "--pattern", "straight:2000", "--colors", colors)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "", "")
+
+
 def test_min_size_answers_under_a_cap_past_sys_maxsize(capsys):
     # The start is bisected over plain ints: a range of more than
     # sys.maxsize sizes has no len().

@@ -91,6 +91,12 @@ def test_acyclic_from_cyclic_bad_start():
         acyclic_from_cyclic(seq, -1)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_acyclic_from_cyclic_one_color(k):
+    # The cycle (1,) is shorter than the k - 1 symbols the acyclic form repeats.
+    assert acyclic_from_cyclic(DeBruijnSequence(1, k, (1,)), 0).symbols == (1,) * k
+
+
 def test_lex_least_generator_goldens():
     for (n, k), expected in LEX_LEAST.items():
         seq = generate_cyclic(n, k, method="greedy-least")

@@ -591,6 +591,30 @@ def test_enumeration_is_closed_under_the_shapes_maps(shape, n):
         assert renamed == found
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(grown_shapes(), st.builds(_symmetrized, grown_shapes(max_size=7), st.integers(0, 1))),
+    st.sampled_from([SQUARE, ZEE, TEE, ELL, LTROMINO, straight(1), straight(3)]),
+)
+@example(rectangle(5, 5), SQUARE)
+@example(ZEE_STAIR_SHAPE, ZEE)
+@example(ziggurat(5), TEE)
+@example(straight(10), straight(3))
+def test_shape_group_permutations(shape, pattern):
+    expected = set()
+    for m in _stabilizer(pattern):
+        if _fixes(m, shape):
+            a, b, c, d = m
+            image = [(a * x + b * y, c * x + d * y) for x, y in shape.cells]
+            # The image is a translate of the shape, so its least cell
+            # lands on the shape's least cell.
+            ix, iy = min(image)
+            tx, ty = shape.cells[0][0] - ix, shape.cells[0][1] - iy
+            expected.add(tuple(shape.cells.index((x + tx, y + ty)) for x, y in image))
+    expected.discard(tuple(range(len(shape.cells))))
+    assert _shape_group(shape, pattern) == tuple(sorted(expected))
+
+
 @pytest.mark.parametrize("size", [13, 14])
 def test_census_counts_match_direct_enumeration(size):
     census = shape_census(LTROMINO, 2, size, (5, 5))
