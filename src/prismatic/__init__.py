@@ -47,13 +47,11 @@ from .shapes import (
     SQUARE,
     TEE,
     ZEE,
-    RolePartition,
     RowProfile,
     pattern_from_name,
     pyramid,
     pyramid_trimmed,
     rectangle,
-    role_partition,
     row_profile,
     straight,
     ziggurat,

@@ -142,10 +142,16 @@ def _cmd_verify(args) -> int:
     result = search.is_debruijn_coloring(colored, pattern)
     print(f"de Bruijn: {'true' if result.valid else 'false'}")
     if not result.valid:
-        try:
-            missing = f"={result.missing_count}"
-        except ValueError:  # more digits than Python prints
-            missing = f">=10**{sys.get_int_max_str_digits()}"
+        limit = sys.get_int_max_str_digits()
+        n, k, realized = result.tally
+        missing = f">=10**{limit}"
+        # A count known to pass 16**limit > 10**limit is not built, let
+        # alone printed.
+        if not limit or not search._surely_more_words(n, k, (1 << 4 * limit) + realized):
+            try:
+                missing = f"={result.missing_count}"
+            except ValueError:  # more digits than Python prints
+                pass
         print(
             f"instances={result.instance_count} "
             f"missing{missing} duplicated={len(result.duplicated)}",

@@ -116,14 +116,21 @@ class VerifyResult:
     instance realizes and ``missing`` lists the lexicographically first
     of them (in pattern cell order), at most :data:`MISSING_SHOWN`;
     ``duplicated`` pairs each repeated coloring with its multiplicity.
-    All stay empty on success.
+    All stay empty on success.  ``tally`` is (n, |pattern|, distinct
+    colorings realized); the count is built from it only when read, as
+    ``n**|pattern|`` may have millions of digits.
     """
 
     valid: bool
     instance_count: int
-    missing_count: int
     missing: tuple[tuple[int, ...], ...]
     duplicated: tuple[tuple[tuple[int, ...], int], ...]
+    tally: tuple[int, int, int]
+
+    @property
+    def missing_count(self) -> int:
+        n, k, realized = self.tally
+        return n**k - realized
 
     def __bool__(self) -> bool:
         return self.valid
@@ -135,13 +142,15 @@ def is_debruijn_coloring(colored: ColoredPolyomino, pattern: Polyomino) -> Verif
     The work grows with the shape, not with ``n**|pattern|``: the
     missing colorings are counted, and only the first few are listed.
     """
-    n = colored.n
+    n, k = colored.n, len(pattern.cells)
     counts: dict[tuple[int, ...], int] = {}
     table = instance_cells(pattern, colored.shape)
     for ids in table:
         word = tuple([colored.colors[i] for i in ids])
         counts[word] = counts.get(word, 0) + 1
-    missing_count = n ** len(pattern.cells) - len(counts)
+    # Words no instance realizes, or MISSING_SHOWN when there are surely
+    # some: n**k may have millions of digits.
+    unseen = MISSING_SHOWN if _surely_more_words(n, k, len(counts)) else n**k - len(counts)
     # The first MISSING_SHOWN missing words use only the first ``pool``
     # colors: a word with a color past them comes after the ``pool``
     # words that share its prefix, put one of those colors in its place
@@ -153,21 +162,21 @@ def is_debruijn_coloring(colored: ColoredPolyomino, pattern: Polyomino) -> Verif
         itertools.islice(
             (
                 word
-                for word in itertools.product(range(1, pool + 1), repeat=len(pattern.cells))
+                for word in itertools.product(range(1, pool + 1), repeat=k)
                 if word not in counts
             ),
-            min(missing_count, MISSING_SHOWN),
+            min(unseen, MISSING_SHOWN),
         )
     )
     duplicated = tuple(
         (word, c) for word, c in sorted(counts.items()) if c > 1
     )
     return VerifyResult(
-        valid=not missing_count and not duplicated,
+        valid=not unseen and not duplicated,
         instance_count=len(table),
-        missing_count=missing_count,
         missing=missing,
         duplicated=duplicated,
+        tally=(n, k, len(counts)),
     )
 
 
@@ -265,9 +274,10 @@ def _cell_table(
 
 def _surely_more_words(n: int, k: int, count: int) -> bool:
     """Whether ``n**k > count`` follows without building ``n**k``, which
-    may have millions of digits: for n >= 2, n**k >= 2**k, and 2**k
-    passes ``count`` once k reaches its bit length."""
-    return n > 1 and k >= count.bit_length()
+    may have millions of digits: n**k >= 2**(b k) for b one less than
+    n's bit length, and 2**(b k) passes ``count`` once b k reaches its
+    bit length."""
+    return (n.bit_length() - 1) * k >= count.bit_length()
 
 
 _IDENTITY = (1, 0, 0, 1)
@@ -688,6 +698,11 @@ def _redelmeier_witnesses(
     where every other cell is banned, the last cell of each row is dead
     for the left one of two side-by-side pattern cells: the
     ``size - H`` bound of :func:`_growth_box`.
+
+    The test also ends a level: when a child fails it and the cells
+    occupied before the child, with those banned by then, fail it alone,
+    every later sibling fails too, since it bans and occupies supersets
+    of them.
     """
     clamped = _growth_box(pattern, size, box, need)
     if clamped is None:
@@ -713,15 +728,16 @@ def _redelmeier_witnesses(
         tuple(j for j in (i - 1, i + 1, i - stride, i + stride) if 0 <= j < total and allowed[j])
         for i in range(total)
     ]
-    # completes[c]: the other cells of each instance that c can complete.
-    completes: list[list[tuple[int, ...]]] = [[] for _ in range(total)]
+    # completes[c]: a mask of the other cells of each instance c completes.
+    completes: list[list[int]] = [[] for _ in range(total)]
     offsets = [px + stride * py for px, py in pattern.cells]
     pad = max(offsets)
     for v in range(total - pad):
         cells = [v + off for off in offsets]
         if all(map(allowed.__getitem__, cells)):
-            for i, c in enumerate(cells):
-                completes[c].append(tuple(cells[:i] + cells[i + 1 :]))
+            mask = sum(1 << c for c in cells)
+            for c in cells:
+                completes[c].append(mask & ~(1 << c))
 
     # Banned cells are kept as the anchors they spoil: bit v + pad of
     # ``bad`` marks the anchor v, from -pad up, whose pattern translate
@@ -730,12 +746,10 @@ def _redelmeier_witnesses(
     # ``spread << c``, banning column x ``column << x``.
     shifts = [pad - off for off in offsets]
     slack = size - need
-    # The cut needs more than ``slack`` occupied cells below the last
-    # level, so with ``slack >= size - 1`` (need <= 1) it never fires; the
-    # ints then stay 0 and each cell costs what it did without the cut.
-    counting = slack < size - 1
+    # The cut needs more than ``slack`` occupied cells, so with ``slack >=
+    # size - 1`` (need <= 1) it never fires and the ints stay 0.
     spread = column = bad = 0
-    if counting:
+    if slack < size - 1:
         spread = sum(1 << s for s in shifts)
         column = functools.reduce(operator.or_, (spread << (stride * y) for y in range(height)))
         # Bit i + pad: cell i, from -pad up, lies outside the region.
@@ -743,10 +757,8 @@ def _redelmeier_witnesses(
         outside = int("1" * pad + walls + "1" * pad, 2)
         bad = functools.reduce(operator.or_, (outside >> off for off in offsets))
 
-    occupied = bytearray(total)
     reached = bytearray(total)
-    stack_cells: list[int] = []
-    found: list[tuple[int, ...]] = []
+    found: list[int] = []
     nodes = 0
 
     def grow(
@@ -773,31 +785,32 @@ def _redelmeier_witnesses(
             right = x if x > hi else hi
             if right - left >= width:
                 continue
-            newinst = inst
-            for others in completes[c]:
-                for j in others:
-                    if not occupied[j]:
-                        break
-                else:
-                    newinst += 1
-            if not floor <= newinst <= most:
-                continue
-            if last:
-                found.append((*stack_cells, c))
-                continue
             # A shape spanning columns lo..hi stays within hi - x0 ..
             # lo + x0; c widens the span by at most one column.
             if right > hi:
                 kept |= column << (hi - x0)
             elif left < lo:
                 kept |= column << (lo + x0)
-            taken = occ | 1 << c if counting else 0
+            taken = occ | 1 << c
             for s in roles:
                 if (kept >> s & taken).bit_count() > slack:
+                    # Every later sibling keeps a superset of ``bad`` and
+                    # takes a superset of ``occ``: once those alone fail,
+                    # so do all of them.
+                    for r in roles:
+                        if (bad >> r & occ).bit_count() > slack:
+                            return
                     break
             else:
-                occupied[c] = 1
-                stack_cells.append(c)
+                newinst = inst
+                for m in completes[c]:
+                    if occ & m == m:
+                        newinst += 1
+                if not floor <= newinst <= most:
+                    continue
+                if last:
+                    found.append(taken)
+                    continue
                 fresh = []
                 for nb in neighbors[c]:
                     if not reached[nb]:
@@ -806,8 +819,6 @@ def _redelmeier_witnesses(
                 grow(untried + fresh, sofar + 1, newinst, left, right, taken, kept)
                 for nb in fresh:
                     reached[nb] = 0
-                occupied[c] = 0
-                stack_cells.pop()
 
     reached[x0] = 1
     try:
@@ -815,7 +826,9 @@ def _redelmeier_witnesses(
     except RecursionError:
         raise _too_deep("shape growth", size) from None
 
-    shapes = [normalize((i % stride, i // stride) for i in idxs) for idxs in found]
+    # Bit i of a found mask, bin()'s i-th digit from the end, is cell i.
+    cells = ([i for i, b in enumerate(bin(m)[:1:-1]) if b == "1"] for m in found)
+    shapes = [normalize((i % stride, i // stride) for i in idxs) for idxs in cells]
     shapes.sort(key=lambda s: s.cells)
     return shapes, nodes
 

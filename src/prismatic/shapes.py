@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formats import ASCII_CELL_LIMIT
-from .lattice import Cell, Polyomino, instances_of, is_connected, normalize
+from .lattice import Cell, Polyomino, is_connected, normalize
 
 
 class ShapeError(Exception):
@@ -187,77 +187,3 @@ def row_profile(shape: Polyomino) -> RowProfile:
         ):
             tops[height - 1 - y] += 1
     return RowProfile(tuple(per_row), tuple(tops[:-1] if height > 1 else ()))
-
-
-@dataclass(frozen=True)
-class RolePartition:
-    """How each cell participates in ell-tromino instances.
-
-    An instance places a central cell, the cell to its right and the cell
-    above it.  The seven non-empty role combinations partition the cells
-    that appear in at least one instance; ``role_free`` collects the rest
-    instead of failing, so the partition doubles as a diagnostic.
-    """
-
-    central_only: frozenset[Cell]
-    right_only: frozenset[Cell]
-    top_only: frozenset[Cell]
-    central_right: frozenset[Cell]
-    central_top: frozenset[Cell]
-    top_right: frozenset[Cell]
-    all_roles: frozenset[Cell]
-    role_free: frozenset[Cell]
-
-    @property
-    def x_central(self) -> frozenset[Cell]:
-        return self.central_only | self.central_right | self.central_top | self.all_roles
-
-    @property
-    def x_right(self) -> frozenset[Cell]:
-        return self.right_only | self.central_right | self.top_right | self.all_roles
-
-    @property
-    def x_top(self) -> frozenset[Cell]:
-        return self.top_only | self.central_top | self.top_right | self.all_roles
-
-    def classes(self) -> dict[str, frozenset[Cell]]:
-        return {
-            "central": self.central_only,
-            "right": self.right_only,
-            "top": self.top_only,
-            "central+right": self.central_right,
-            "central+top": self.central_top,
-            "top+right": self.top_right,
-            "central+top+right": self.all_roles,
-            "free": self.role_free,
-        }
-
-
-def role_partition(shape: Polyomino) -> RolePartition:
-    central: set[Cell] = set()
-    right: set[Cell] = set()
-    top: set[Cell] = set()
-    for vx, vy in instances_of(LTROMINO, shape):
-        central.add((vx, vy))
-        right.add((vx + 1, vy))
-        top.add((vx, vy + 1))
-
-    def pick(in_c: bool, in_r: bool, in_t: bool) -> frozenset[Cell]:
-        return frozenset(
-            cell
-            for cell in shape.cells
-            if (cell in central) == in_c
-            and (cell in right) == in_r
-            and (cell in top) == in_t
-        )
-
-    return RolePartition(
-        central_only=pick(True, False, False),
-        right_only=pick(False, True, False),
-        top_only=pick(False, False, True),
-        central_right=pick(True, True, False),
-        central_top=pick(True, False, True),
-        top_right=pick(False, True, True),
-        all_roles=pick(True, True, True),
-        role_free=pick(False, False, False),
-    )

@@ -464,7 +464,7 @@ def test_shape_census_budget_exit_3_for_every_thread_count(capsys, monkeypatch):
 
 
 def test_min_size_growth_node_regression(capsys, monkeypatch):
-    # The clamped box (5x5 at 13 cells) and the dead-cell cut grow 16,003
+    # The clamped box (5x5 at 13 cells) and the dead-cell cut grow 8,459
     # cells over sizes 12 and 13; the clamp alone needs 180,561 and a
     # size x size box 596,894, past this budget.
     monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "25000")
@@ -475,12 +475,12 @@ def test_min_size_growth_node_regression(capsys, monkeypatch):
 
 
 def test_min_size_budget_names_the_budget_and_size(capsys, monkeypatch):
-    # The budget runs out at 13 cells, having spent 912 of it on size 12;
+    # The budget runs out at 13 cells, having spent 592 of it on size 12;
     # the message gives the budget as set.
-    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "10000")
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "5000")
     code, out, err = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "8", "--cap", "13")
     assert (code, out) == (3, "")
-    assert err == "budget exceeded: shape enumeration exceeded the 10000 node budget at size 13\n"
+    assert err == "budget exceeded: shape enumeration exceeded the 5000 node budget at size 13\n"
 
 
 def test_min_size_skips_the_sizes_no_box_admits():
@@ -632,6 +632,18 @@ def test_verify_huge_counts_exit_1_with_one_line(n, pattern, missing):
     assert proc.stderr.endswith(" duplicated=0\n") and proc.stderr.count("\n") == 1
 
 
+def test_verify_builds_no_count_past_the_digit_limit(capsys):
+    # n**2000 for a 4001-digit n has 8 million digits and took 9.5 s to
+    # build; n's bit length alone shows the count passes 10**4300.
+    cells = [{"x": 0, "y": 0, "color": 1}, {"x": 1, "y": 0, "color": 2}]
+    doc = json.dumps({"n": 10**4000, "cells": cells})
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "verify", "--input", doc, "--pattern", "straight:2000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "de Bruijn: false\n")
+    assert err == f"instances=0 missing>=10**{sys.get_int_max_str_digits()} duplicated=0\n"
+
+
 def test_dense_census_settles_without_growth(capsys, monkeypatch):
     # 16 square instances in 20 cells leave at most 4 rows and columns,
     # and a 4x4 box holds 16 cells, so nothing is grown.
@@ -644,7 +656,7 @@ def test_dense_census_settles_without_growth(capsys, monkeypatch):
 
 def test_shape_census_six_by_six_box(capsys):
     # C(36, 14), about 3.8e9 box subsets, is past any subset scan; shape
-    # growth tries 175,628 cells.
+    # growth tries 84,778 cells.
     code, out, _ = invoke(capsys, *CENSUS14, "--bbox", "6x6")
     assert code == 0
     lines = out.splitlines()

@@ -1,4 +1,4 @@
-"""Shape families, trims, row profiles and the tee-cell role partition."""
+"""Shape families, trims and row profiles."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +20,10 @@ from prismatic.shapes import (
     pyramid,
     pyramid_trimmed,
     rectangle,
-    role_partition,
     row_profile,
     straight,
     ziggurat,
 )
-
-from goldens import PYRAMID4_ROLES
 
 
 def test_fixed_orientations():
@@ -136,39 +133,6 @@ def test_row_profile():
     rp = row_profile(rectangle(4, 4))
     assert rp.cells_per_row == (4, 4, 4, 4)
     assert rp.top_counts == (2, 2, 2)
-
-
-def test_role_partition_golden():
-    rp = role_partition(pyramid(4))
-    labelled = {}
-    for label, cells in rp.classes().items():
-        for c in cells:
-            labelled[c] = label
-    assert labelled == PYRAMID4_ROLES
-    assert rp.role_free == frozenset()
-
-
-def test_role_partition_is_a_partition():
-    for shape in (ziggurat(4), pyramid(5), rectangle(4, 3)):
-        rp = role_partition(shape)
-        union = set()
-        total = 0
-        for group in rp.classes().values():
-            union |= group
-            total += len(group)
-        assert union == shape.cell_set
-        assert total == len(shape)
-
-
-def test_role_sets_match_instances():
-    # each instance contributes its anchor as central, the cell to the
-    # right of the anchor as right, and the cell above as top
-    for shape in (ziggurat(5), pyramid(6)):
-        rp = role_partition(shape)
-        vecs = instances_of(LTROMINO, shape)
-        assert rp.x_central == {(x, y) for x, y in vecs}
-        assert rp.x_right == {(x + 1, y) for x, y in vecs}
-        assert rp.x_top == {(x, y + 1) for x, y in vecs}
 
 
 @settings(max_examples=30, deadline=None)
