@@ -165,8 +165,8 @@ def _cmd_enumerate(args) -> int:
     shape = _shape_arg(args.shape)
     pattern = _pattern_arg(args.pattern)
     _check_threads(args)
-    found = search.enumerate_prismatic_colorings(shape, pattern, args.colors)
-    lines = (line + "\n" for line in formats.json_lines(found))
+    found = search._colorings(shape, pattern, args.colors)
+    lines = (line + "\n" for line in formats.json_lines(shape, args.colors, found))
     if args.emit:
         with open(args.emit, "w") as fh:
             fh.writelines(lines)

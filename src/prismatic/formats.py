@@ -11,7 +11,7 @@ from one template of that layout.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .lattice import Cell, ColoredPolyomino, LatticeError, Polyomino
 
@@ -37,20 +37,16 @@ def to_json(obj, n: int | None = None) -> dict:
     return {"cells": [{"x": x, "y": y} for x, y in cells]}
 
 
-def json_lines(colorings: Sequence[ColoredPolyomino]) -> Iterator[str]:
-    """``json.dumps(to_json(c))`` for each of ``colorings``, which share one
-    shape and one n.  The layout is dumped once, from :func:`to_json` with
-    a ``%d`` in each color's place, and each line fills in a color tuple.
-    """
-    if not colorings:
-        return iter(())
-    doc = to_json(colorings[0])
-    for record in doc["cells"]:
-        record["color"] = "%d"
+def json_lines(shape: Polyomino, n: int, colors: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """``json.dumps(to_json(ColoredPolyomino(shape, n, c)))`` for each color
+    tuple c of ``colors``, in ``shape.cells`` order.  The layout is dumped
+    once, from :func:`to_json` with a ``%d`` in each color's place, and
+    each line fills in a color tuple."""
+    doc = to_json(dict.fromkeys(shape.cells, "%d"), n)
     # Every other key and value is fixed text or an int, so the only "%"
     # in the dump are the placeholders.
     template = json.dumps(doc).replace("%", "%%").replace('"%%d"', "%d")
-    return (template % c.colors for c in colorings)
+    return (template % c for c in colors)
 
 
 def _int(record: dict, key: str) -> int:

@@ -17,11 +17,12 @@ tree:
   de Bruijn colorings to de Bruijn colorings (:func:`_stabilizer`,
   :func:`_shape_group`; for the zee these are the row-shift conjugates
   of the square's 8 symmetries).  The search keeps a word w only while
-  w <= pi(g w) for every such map g and color permutation pi, so it
-  keeps about one word per orbit of the maps and the permutations
-  together (lex-leader constraints, Crawford, Ginsberg, Luks and Roy,
-  KR 1996, which value precedence joins soundly, Law and Lee, CP 2004);
-  callers expand the kept words by both groups;
+  w <= pi(g w) for every such map g and color permutation pi, the last
+  comparisons made at the leaf, so it keeps exactly the least word of
+  each orbit of the maps and the permutations together (lex-leader
+  constraints, Crawford, Ginsberg, Luks and Roy, KR 1996, which value
+  precedence joins soundly, Law and Lee, CP 2004), with the orbit's
+  size; :func:`_colorings` expands the kept words by both groups;
 * prefix counts: every pattern coloring occurs once, so at most
   ``n**(k - j)`` instances may read the same first j colors (k pattern
   cells, in scan order); a branch dies as soon as one prefix passes its
@@ -376,24 +377,20 @@ def _lex_leader_checks(
     ``group``), holds ``w[src[p]]`` at position p.  Position p can be
     compared once the search has colored both p and ``src[p]``, and only
     after every earlier position, so at the step ``max(q, src[q] for
-    q <= p)``.  A map whose first comparison falls on the last step is
-    left out: it could cut no branch.
+    q <= p)``.  Every position is compared by the last step, so at the
+    leaf the bits still set name the maps tied with the word.
     """
     due: list[list] = [[] for _ in step]
-    bit = 1
-    for g in group:
+    for index, g in enumerate(group):
         src = [step[g[i]] for i in order]
-        ready = list(itertools.accumulate(map(max, range(len(src)), src), max))
-        if ready[0] == len(step) - 1:
-            continue
+        ready = itertools.accumulate(map(max, range(len(src)), src), max)
         at: dict[int, list[tuple[int, int]]] = {}
         for p, t in enumerate(ready):
             at.setdefault(t, []).append((p, src[p]))
         labels = [0] * (n + 1)
         for t, pairs in at.items():
-            due[t].append((bit, labels, tuple(pairs)))
-        bit <<= 1
-    return due, bit - 1
+            due[t].append((1 << index, labels, tuple(pairs)))
+    return due, (1 << len(group)) - 1
 
 
 def _need_colors(n: int) -> None:
@@ -407,20 +404,21 @@ def _run_search(
     n: int,
     node_limit: int,
     solution_cap: int | None = None,
-) -> tuple[list[tuple[int, ...]], int]:
+) -> tuple[list[tuple[int, ...]], int, list[int]]:
     """Backtracking core, in the scan order :func:`_cell_table` picks;
-    returns (canonical colorings, nodes tried), or ``([], 0)`` without
-    searching when the instance count is not ``n**|pattern|``.
+    returns (canonical colorings, nodes tried, orbit sizes), or ``([], 0,
+    [])`` without searching when the instance count is not ``n**|pattern|``.
 
     Colorings are color tuples in ``shape.cells`` order, emitted in
     lexicographic order of their scan-order word w, and canonical: in
     scan order color c + 1 never appears before color c, and w is no
     greater than pi(g w) for any map g of :func:`_shape_group` and color
-    permutation pi, save the maps :func:`_lex_leader_checks` leaves out.
-    There are exactly ``n**k`` instances, so every solution uses all n
-    colors, and every de Bruijn coloring is an image of at least one
-    returned coloring (:func:`_orbit_classes`).  ``solution_cap`` stops
-    after so many results.
+    permutation pi.  There are exactly ``n**k`` instances, so every
+    solution uses all n colors, and w is the least of its orbit, which
+    holds |G| n! / |Stab(w)| colorings (G the maps with the identity):
+    for one g just one pi can carry g w back to w, so Stab(w) is the
+    identity and the maps still tied with w at the leaf.  ``solution_cap``
+    stops after so many results.
 
     For one g the least pi(g w) is g w with its colors renamed in order
     of first appearance, so one relabeling per map stands for all n!
@@ -430,7 +428,7 @@ def _run_search(
     """
     table = _cell_table(shape, pattern, n)
     if table is None:
-        return [], 0
+        return [], 0, []
     order, step, through = table
     k = len(pattern.cells)
     # A prefix of j colors is coded in bijective base n: the empty prefix
@@ -440,12 +438,14 @@ def _run_search(
     room: list[int] = []
     for j in range(k + 1):
         room += [n ** (k - j)] * n**j
-    # keys[i] codes the colors instance i has so far.
+    # keys[i] is n times the code of the colors instance i has so far.
     keys = [0] * n**k
     colors = [0] * len(step)
     results: list[tuple[int, ...]] = []
+    orbits: list[int] = []
     nodes = 0
     group = _shape_group(shape, pattern) if n > 1 else ()
+    size = (len(group) + 1) * math.factorial(n)
     checks, every = _lex_leader_checks(order, step, group, n)
     steps = list(zip(through, checks))
     # hues[top]: the colors a step may take once colors 1..top are used.
@@ -491,6 +491,7 @@ def _run_search(
         nonlocal nodes
         if t == len(steps):
             results.append(tuple(map(colors.__getitem__, step)))
+            orbits.append(size // (tied.bit_count() + 1))
             return solution_cap is None or len(results) < solution_cap
         ids, due = steps[t]
         for c in hues[top]:
@@ -502,7 +503,7 @@ def _run_search(
             # Prefixes of different lengths never share a code, so no two
             # instances in ``ids`` draw on the same room entry.
             for i in ids:
-                if not room[keys[i] * n + c]:
+                if not room[keys[i] + c]:
                     break
             else:
                 colors[t] = c
@@ -512,14 +513,14 @@ def _run_search(
                     if live < 0:
                         continue
                 for i in ids:
-                    code = keys[i] * n + c
+                    code = keys[i] + c
                     room[code] -= 1
-                    keys[i] = code
+                    keys[i] = code * n
                 alive = place(t + 1, c if c > top else top, live)
                 for i in ids:
-                    code = keys[i]
+                    code = keys[i] // n
                     room[code] += 1
-                    keys[i] = (code - 1) // n
+                    keys[i] = code - c
                 if not alive:
                     return False
         return True
@@ -528,7 +529,7 @@ def _run_search(
         place(0, 0, every)
     except RecursionError:
         raise _too_deep("coloring search", len(through)) from None
-    return results, nodes
+    return results, nodes, orbits
 
 
 def _too_deep(what: str, cells: int) -> SearchError:
@@ -549,40 +550,39 @@ def enumerate_prismatic_colorings(
     word.  A shape whose instance count differs from ``n**|pattern|``
     admits none and yields an empty list without searching.
     """
-    node_limit = _node_limit(node_limit)
-    _need_colors(n)
-    found, _ = _run_search(shape, pattern, n, node_limit)
-    if not found:
-        return []
-    # The shape carries n**k instances, so n is at most its cell count.
-    perms = list(itertools.permutations(range(1, n + 1)))
-    classes = _orbit_classes(shape, pattern, n, found)
-    colorings = [tuple([p[c - 1] for c in word]) for word in classes for p in perms]
-    # Sort by the row-major color word, whatever order the search took.
-    colorings.sort(key=operator.itemgetter(*_scan_orders(shape)[0]))
+    colorings = _colorings(shape, pattern, n, node_limit)
     return [ColoredPolyomino(shape, n, colors) for colors in colorings]
 
 
-def _orbit_classes(
-    shape: Polyomino, pattern: Polyomino, n: int, words: list[tuple[int, ...]]
-) -> list[tuple[int, ...]] | set[tuple[int, ...]]:
-    """One coloring per color-permutation class of every de Bruijn
-    coloring of ``shape``, given the colorings :func:`_run_search`
-    returned: their images under the shape's group, each with its colors
-    renamed 1, 2, ... in cell order, or ``words`` itself when the group
-    is trivial.  Each class holds n! colorings."""
-    group = _shape_group(shape, pattern) if n > 1 else ()
-    if not group:
+def _colorings(
+    shape: Polyomino, pattern: Polyomino, n: int, node_limit: int | None = None
+) -> list[tuple[int, ...]]:
+    """:func:`enumerate_prismatic_colorings` as color tuples in
+    ``shape.cells`` order: each word :func:`_run_search` keeps, under
+    every color permutation and every map of the shape's group, in
+    row-major words so that one plain sort orders them."""
+    node_limit = _node_limit(node_limit)
+    _need_colors(n)
+    words, _, _ = _run_search(shape, pattern, n, node_limit)
+    # One color leaves one coloring; two or more need two or more cells,
+    # so every itemgetter below returns a tuple.
+    if n == 1 or not words:
         return words
-    classes = set()
-    for g in (range(len(shape.cells)), *group):
-        for word in words:
-            # Each g in the group comes with its inverse, so reading the
-            # word through g gives the same images as moving it by g.
-            image = [word[i] for i in g]
-            rank = dict(zip(dict.fromkeys(image), range(1, n + 1)))
-            classes.add(tuple(map(rank.__getitem__, image)))
-    return classes
+    row = _scan_orders(shape)[0]
+    # at[i]: the row-major position of cell i.
+    at = sorted(range(len(row)), key=row.__getitem__)
+    # Each g in the group comes with its inverse, so reading a word
+    # through g gives the same images as moving it by g.
+    maps = [operator.itemgetter(*[at[g[i]] for i in row]) for g in _shape_group(shape, pattern)]
+    # The shape carries n**k instances, so n is at most its cell count.
+    perms = [(0, *p).__getitem__ for p in itertools.permutations(range(1, n + 1))]
+    images = set()
+    for word in map(operator.itemgetter(*row), words):
+        renamed = [tuple(map(p, word)) for p in perms]
+        images.update(renamed)
+        for g in maps:
+            images.update(map(g, renamed))
+    return list(map(operator.itemgetter(*at), sorted(images)))
 
 
 def has_prismatic_coloring(
@@ -594,7 +594,7 @@ def has_prismatic_coloring(
     """Existence version of :func:`enumerate_prismatic_colorings`."""
     node_limit = _node_limit(node_limit)
     _need_colors(n)
-    words, _ = _run_search(shape, pattern, n, node_limit, solution_cap=1)
+    words, _, _ = _run_search(shape, pattern, n, node_limit, solution_cap=1)
     return bool(words)
 
 
@@ -631,8 +631,7 @@ def shape_census(
     for shape in shapes:
         if shape.cells in counts:
             continue
-        words, _ = _run_search(shape, pattern, n, node_limit)
-        count = len(_orbit_classes(shape, pattern, n, words)) * math.factorial(n)
+        count = sum(_run_search(shape, pattern, n, node_limit)[2])
         for m in maps:
             counts.setdefault(_moved(shape.cells, m), count)
     return [(shape, counts[shape.cells]) for shape in shapes if counts[shape.cells]]
@@ -773,8 +772,6 @@ def _redelmeier_witnesses(
         roles = shifts if sofar + 1 > slack else ()
         while untried:
             c = untried.pop()
-            # Taking c keeps ``kept``; every later sibling has c banned.
-            kept, bad = bad, bad | spread << c
             nodes += 1
             if nodes > node_limit:
                 raise BudgetExceededError(
@@ -783,8 +780,11 @@ def _redelmeier_witnesses(
             x = cols[c]
             left = x if x < lo else lo
             right = x if x > hi else hi
+            # A cell this far out lies in a column banned already.
             if right - left >= width:
                 continue
+            # Taking c keeps ``kept``; every later sibling has c banned.
+            kept, bad = bad, bad | spread << c
             # A shape spanning columns lo..hi stays within hi - x0 ..
             # lo + x0; c widens the span by at most one column.
             if right > hi:
@@ -811,9 +811,11 @@ def _redelmeier_witnesses(
                 if last:
                     found.append(taken)
                     continue
+                # A cell the span has put out of reach is banned already,
+                # and the span only widens below here.
                 fresh = []
                 for nb in neighbors[c]:
-                    if not reached[nb]:
+                    if not reached[nb] and right - width < cols[nb] < left + width:
                         reached[nb] = 1
                         fresh.append(nb)
                 grow(untried + fresh, sofar + 1, newinst, left, right, taken, kept)

@@ -24,7 +24,7 @@ from prismatic import (
 )
 from prismatic import cli
 from prismatic.cli import run
-from prismatic.shapes import LTROMINO, straight, ziggurat
+from prismatic.shapes import LTROMINO, SQUARE, TEE, rectangle, straight, ziggurat
 
 from goldens import CENSUS13_ROWSPANS, COCK3_GRID, COCK3_R0, shape_from_rows, two_coloring
 from goldens import SQUARE5_SHAPE, SQUARE5_TWOS
@@ -284,10 +284,12 @@ def test_enumerate_emit_prints_count(tmp_path, capsys):
 )
 @example(shape_from_rows(CENSUS13_ROWSPANS["A"]), 2)
 @example(straight(10), 3)
+@example(rectangle(5, 5), 2)
+@example(ziggurat(5), 2)
 def test_enumerate_lines_are_dumps_of_to_json(shape, n):
     # The first pattern with n**k instances, so that most shapes have
     # colorings to print.
-    patterns = [straight(2), normalize([(0, 0), (0, 1)]), straight(3), LTROMINO]
+    patterns = [straight(2), normalize([(0, 0), (0, 1)]), straight(3), LTROMINO, SQUARE, TEE]
     pattern = next((p for p in patterns if len(instances_of(p, shape)) == n ** len(p)), LTROMINO)
     argv = [
         "enumerate",
@@ -464,7 +466,7 @@ def test_shape_census_budget_exit_3_for_every_thread_count(capsys, monkeypatch):
 
 
 def test_min_size_growth_node_regression(capsys, monkeypatch):
-    # The clamped box (5x5 at 13 cells) and the dead-cell cut grow 8,459
+    # The clamped box (5x5 at 13 cells) and the dead-cell cut grow 8,127
     # cells over sizes 12 and 13; the clamp alone needs 180,561 and a
     # size x size box 596,894, past this budget.
     monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "25000")

@@ -1,9 +1,10 @@
 """JSON and ASCII serialization round trips."""
 
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prismatic import (
@@ -14,6 +15,7 @@ from prismatic import (
     random_polyomino,
     to_json,
 )
+from prismatic.formats import json_lines
 from prismatic.lattice import LatticeError
 from prismatic.shapes import LTROMINO, SQUARE, rectangle
 
@@ -110,6 +112,19 @@ def test_json_round_trip_random(seed, size, n):
     shape = random_polyomino(rng, size)
     cp = ColoredPolyomino(shape, n, tuple(rng.randint(1, n) for _ in range(size)))
     assert colored_from_json(to_json(cp)) == cp
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 14), st.integers(1, 12), st.integers(0, 5))
+@example(0, 12, 12, 3)
+def test_json_lines_are_dumps_of_to_json(seed, size, n, count):
+    # Colors past 9 take two digits in the line, as in json.dumps.
+    rng = random.Random(seed)
+    shape = random_polyomino(rng, size)
+    colorings = [tuple(rng.randint(1, n) for _ in range(size)) for _ in range(count)]
+    want = [json.dumps(to_json(ColoredPolyomino(shape, n, c))) for c in colorings]
+    assert list(json_lines(shape, n, colorings)) == want
+    assert list(json_lines(shape, n, iter(colorings))) == want
 
 
 @settings(max_examples=80, deadline=None)

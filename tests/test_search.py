@@ -33,6 +33,7 @@ from prismatic.search import (
     BudgetExceededError,
     NoWitnessError,
     SearchError,
+    _cell_table,
     _node_limit,
     _redelmeier_witnesses,
     _run_search,
@@ -475,7 +476,7 @@ def test_transposed_ziggurat_search_node_count():
     # 37,751 nodes in row-major order, 32,381 with the color symmetry
     # alone.
     shape, pattern = _turned(TRANSPOSE, ziggurat(5)), _turned(TRANSPOSE, TEE)
-    words, nodes = _run_search(shape, pattern, 2, 10**9)
+    words, nodes, _ = _run_search(shape, pattern, 2, 10**9)
     assert (len(enumerate_prismatic_colorings(shape, pattern, 2)), nodes) == (168, 17_163)
     # The colorings come back in cell order, whatever order the search took.
     for word in words:
@@ -589,6 +590,51 @@ def test_enumeration_is_closed_under_the_shapes_maps(shape, n):
     for perm in itertools.permutations(range(1, n + 1)):
         renamed = {ColoredPolyomino(shape, n, tuple(perm[c - 1] for c in s.colors)) for s in found}
         assert renamed == found
+
+
+@pytest.mark.parametrize(
+    "shape, pattern, kept, nodes, count",
+    [(rectangle(5, 5), SQUARE, 50, 13_061, 800), (ziggurat(5), TEE, 42, 17_163, 168)],
+)
+def test_search_keeps_one_word_per_orbit(shape, pattern, kept, nodes, count):
+    # The lex-leader cut left 62 words on the 5x5; the leaf test keeps
+    # one per orbit, tries no more nodes, and leaves the first word as it
+    # was.
+    words, tried, orbits = _run_search(shape, pattern, 2, 10**9)
+    assert (len(words), tried, sum(orbits)) == (kept, nodes, count)
+    assert _run_search(shape, pattern, 2, 10**9, solution_cap=1)[0] == words[:1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(_symmetrized, grown_shapes(max_size=7), st.integers(0, 1)), st.integers(2, 3))
+@example(rectangle(5, 5), 2)
+@example(ZEE_STAIR_SHAPE, 2)
+@example(ziggurat(5), 2)
+@example(ELL_STAIR_SHAPE, 2)
+@example(straight(10), 3)
+@example(next(s for s in _census_shapes(14) if _shape_group(s, LTROMINO)), 2)
+def test_kept_words_are_the_least_of_distinct_orbits(shape, n):
+    patterns = [ZEE, TEE, ELL, *SMALL_PATTERNS, SQUARE]
+    pattern = next((p for p in patterns if len(instances_of(p, shape)) == n ** len(p)), SQUARE)
+    words, _, orbits = _run_search(shape, pattern, n, 10**9)
+    table = _cell_table(shape, pattern, n)
+    order = table[0] if table else []
+    # Brute force: every map of the pattern that fixes the shape, then
+    # every color permutation.
+    maps = [m for m in _stabilizer(pattern) if _fixes(m, shape)]
+    perms = list(itertools.permutations(range(1, n + 1)))
+    seen = set()
+    for word, size in zip(words, orbits):
+        moved = {_turned_coloring(m, ColoredPolyomino(shape, n, word)).colors for m in maps}
+        orbit = {tuple(p[c - 1] for c in w) for w in moved for p in perms}
+        scan = [tuple(w[i] for i in order) for w in orbit]
+        assert min(scan) == tuple(word[i] for i in order)
+        assert not orbit & seen
+        assert size == len(orbit)
+        seen |= orbit
+    found = enumerate_prismatic_colorings(shape, pattern, n)
+    assert sum(orbits) == len(found)
+    assert seen == {c.colors for c in found}
 
 
 @settings(max_examples=80, deadline=None)
@@ -759,13 +805,13 @@ def _grown(size):
 @pytest.mark.parametrize(
     "query, cells",
     [
-        (_min_size(LTROMINO, 8, 13), 8_459),
-        (_min_size(LTROMINO, 9, 16), 8_727),
+        (_min_size(LTROMINO, 8, 13), 8_127),
+        (_min_size(LTROMINO, 9, 16), 8_383),
         (_min_size(SQUARE, 4, 10), 1_275),
         (_min_size(TEE, 4, 10), 1_394),
         (_min_size(_turned(TRANSPOSE, TEE), 4, 10), 922),
-        (_grown(13), 7_867),
-        (_grown(14), 31_712),
+        (_grown(13), 7_569),
+        (_grown(14), 29_047),
     ],
     ids=["ltromino-8", "ltromino-9", "square-4", "tee-4", "tee-4-transposed", "census-13", "census-14"],
 )
