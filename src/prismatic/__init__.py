@@ -47,12 +47,10 @@ from .shapes import (
     SQUARE,
     TEE,
     ZEE,
-    RowProfile,
     pattern_from_name,
     pyramid,
     pyramid_trimmed,
     rectangle,
-    row_profile,
     straight,
     ziggurat,
 )

@@ -73,15 +73,11 @@ def _check_length(n: int, k: int) -> None:
         raise TooLargeError(f"n**k exceeds the {GENERATE_LIMIT} generation budget")
 
 
-def _windows_distinct(symbols: Sequence[int], n: int, k: int, cyclic: bool) -> bool:
+def _windows_distinct(symbols: Sequence[int], k: int) -> bool:
     length = len(symbols)
     seen = set()
-    count = n**k if cyclic else length - k + 1
-    for i in range(count):
-        if cyclic:
-            win = tuple(symbols[(i + j) % length] for j in range(k))
-        else:
-            win = tuple(symbols[i : i + k])
+    for i in range(length):
+        win = tuple(symbols[(i + j) % length] for j in range(k))
         if win in seen:
             return False
         seen.add(win)
@@ -95,19 +91,22 @@ def is_cyclic_debruijn(symbols: Sequence[int], n: int, k: int) -> bool:
         return False
     if any(s < 1 or s > n for s in symbols):
         return False
-    return _windows_distinct(symbols, n, k, cyclic=True)
+    return _windows_distinct(symbols, k)
 
 
 def is_acyclic_debruijn(symbols: Sequence[int], n: int, k: int) -> bool:
-    """True iff ``symbols`` is an acyclic de Bruijn sequence for (n, k)."""
+    """True iff ``symbols`` is an acyclic de Bruijn sequence for (n, k).
+
+    Once the last ``k - 1`` symbols repeat the first, the plain windows
+    of the whole word are the cyclic windows of its first ``n**k``
+    symbols.
+    """
     _check_order(n, k)
     if len(symbols) != n**k + k - 1:
         return False
-    if any(s < 1 or s > n for s in symbols):
-        return False
     if tuple(symbols[: k - 1]) != tuple(symbols[len(symbols) - (k - 1) :]):
         return False
-    return _windows_distinct(symbols, n, k, cyclic=False)
+    return is_cyclic_debruijn(symbols[: n**k], n, k)
 
 
 @dataclass(frozen=True)

@@ -205,10 +205,13 @@ class PickQuantities:
 def pick_quantities(cells: Iterable[Cell]) -> PickQuantities:
     """Area, boundary points, interior points and holes of a cell union.
 
-    A lattice point is a boundary point when it is an endpoint of a unit
-    edge with a covered cell on one side and an uncovered cell on the
-    other.  Holes are bounded 4-connected components of the complement;
-    they are found inside the bounding box, seeded from a frame around it.
+    Counts the cells' V distinct corners, E distinct unit sides and C
+    components (cells joined at a side or a corner), in time linear in
+    the cells.  A corner is interior when all four cells around it are
+    covered; every other corner ends a boundary edge, so the boundary
+    holds ``V - interior`` points.  Holes are the bounded components of
+    the complement, and Euler's formula for a union of closed cells,
+    ``V - E + area == C - holes``, gives their number.
 
     When the shape has no pinch (see :func:`has_pinch`) its boundary
     decomposes into ``holes + 1`` disjoint simple loops, each loop visits
@@ -222,65 +225,30 @@ def pick_quantities(cells: Iterable[Cell]) -> PickQuantities:
     cellset = frozenset(cells)
     if not cellset:
         raise EmptySetError("cannot measure an empty cell set")
-    area = len(cellset)
-
-    boundary: set[Cell] = set()
-    for x, y in cellset:
-        if (x + 1, y) not in cellset:
-            boundary.update(((x + 1, y), (x + 1, y + 1)))
-        if (x - 1, y) not in cellset:
-            boundary.update(((x, y), (x, y + 1)))
-        if (x, y + 1) not in cellset:
-            boundary.update(((x, y + 1), (x + 1, y + 1)))
-        if (x, y - 1) not in cellset:
-            boundary.update(((x, y), (x + 1, y)))
-
-    # A lattice point not incident to any boundary edge has all four or
-    # none of its incident cells covered, so one membership probe decides
-    # between interior and exterior.
-    xs = [x for x, _ in cellset]
-    ys = [y for _, y in cellset]
-    interior = 0
-    for px in range(min(xs), max(xs) + 2):
-        for py in range(min(ys), max(ys) + 2):
-            if (px, py) not in boundary and (px, py) in cellset:
-                interior += 1
-
-    holes = 0
-    x0, x1 = min(xs) - 1, max(xs) + 1
-    y0, y1 = min(ys) - 1, max(ys) + 1
-    seen: set[Cell] = set()
-    frame = [
-        (x, y)
-        for x in range(x0, x1 + 1)
-        for y in range(y0, y1 + 1)
-        if x in (x0, x1) or y in (y0, y1)
-    ]
-
-    def flood(seeds: Iterable[Cell]) -> None:
-        queue = deque()
-        for s in seeds:
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-        while queue:
-            x, y = queue.popleft()
-            for dx, dy in NEIGHBOR_STEPS:
-                nb = (x + dx, y + dy)
-                nx, ny = nb
-                if x0 <= nx <= x1 and y0 <= ny <= y1:
-                    if nb not in seen and nb not in cellset:
-                        seen.add(nb)
-                        queue.append(nb)
-
-    flood(frame)
-    for x in range(x0, x1 + 1):
-        for y in range(y0, y1 + 1):
-            cand = (x, y)
-            if cand not in cellset and cand not in seen:
-                holes += 1
-                flood([cand])
-    return PickQuantities(area, len(boundary), interior, holes)
+    corners = {(x + dx, y + dy) for x, y in cellset for dx in (0, 1) for dy in (0, 1)}
+    # A unit side is named by its lower-left end and whether it is upright.
+    sides = {
+        side
+        for x, y in cellset
+        for side in ((x, y, 0), (x, y + 1, 0), (x, y, 1), (x + 1, y, 1))
+    }
+    # Corner (x + 1, y + 1) is interior iff cell (x, y) starts a covered 2x2.
+    interior = sum(
+        (x + 1, y) in cellset and (x, y + 1) in cellset and (x + 1, y + 1) in cellset
+        for x, y in cellset
+    )
+    components = 0
+    todo = set(cellset)
+    while todo:
+        components += 1
+        stack = [todo.pop()]
+        while stack:
+            x, y = stack.pop()
+            near = todo & {(x + dx, y + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+            todo -= near
+            stack.extend(near)
+    holes = components - (len(corners) - len(sides) + len(cellset))
+    return PickQuantities(len(cellset), len(corners) - interior, interior, holes)
 
 
 # Named lattice maps.  Each entry is the matrix (a, b, c, d) of the map

@@ -1,8 +1,6 @@
-"""Parametric shape families, fixed patterns and structural profiles."""
+"""Parametric shape families and fixed patterns."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .formats import ASCII_CELL_LIMIT
 from .lattice import Cell, Polyomino, is_connected, normalize
@@ -156,34 +154,3 @@ def pyramid_trimmed(n: int, corner: str, k: int) -> Polyomino:
     if not is_connected(cells):
         raise BadTrimError("trim disconnected the shape")
     return normalize(cells)
-
-
-@dataclass(frozen=True)
-class RowProfile:
-    """Per-row cell counts and tee-top counts, top row first.
-
-    ``cells_per_row[i]`` counts the cells of row i (row 0 at the top);
-    ``top_counts[i]`` counts cells of row i sitting atop a tee instance,
-    meaning the three cells below and beside-below are all present.
-    Rows are 0-indexed here; the bottom row supports no tee tops and is
-    omitted from ``top_counts``.
-    """
-
-    cells_per_row: tuple[int, ...]
-    top_counts: tuple[int, ...]
-
-
-def row_profile(shape: Polyomino) -> RowProfile:
-    height = shape.height
-    per_row = [0] * height
-    tops = [0] * height
-    cellset = shape.cell_set
-    for x, y in shape.cells:
-        per_row[height - 1 - y] += 1
-        if (
-            (x - 1, y - 1) in cellset
-            and (x, y - 1) in cellset
-            and (x + 1, y - 1) in cellset
-        ):
-            tops[height - 1 - y] += 1
-    return RowProfile(tuple(per_row), tuple(tops[:-1] if height > 1 else ()))

@@ -1,6 +1,7 @@
 """Cells, polyominoes, colorings, lattice geometry and lattice maps."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -142,9 +143,34 @@ def test_colored_from_mapping_normalizes():
     assert cp.mapping() == {(0, 0): 1, (1, 0): 2}
 
 
-def test_pick_quantities_single_cell():
-    q = pick_quantities([(0, 0)])
-    assert (q.area, q.boundary, q.interior, q.holes) == (1, 4, 0, 0)
+def _ring(ox, oy):
+    return [(x + ox, y + oy) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+
+
+PICK_CASES = {
+    "single-cell": ([(0, 0)], (1, 4, 0, 0)),
+    "ring-with-hole": (_ring(0, 0), (8, 16, 0, 1)),
+    "holed-square": (
+        [(x, y) for x in range(6) for y in range(6) if not (2 <= x <= 3 and 2 <= y <= 3)],
+        (32, 32, 16, 1),
+    ),
+    "checkerboard": (
+        [(x, y) for x in range(5) for y in range(5) if (x + y) % 2 == 0],
+        (13, 36, 0, 4),
+    ),
+    "rings-apart": (_ring(0, 0) + _ring(5, 0), (16, 32, 0, 2)),
+    "rings-at-corner": (_ring(0, 0) + _ring(3, 3), (16, 31, 0, 2)),
+    "far-pair": ([(0, 0), (1000, 1000)], (2, 8, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("cells, expected", PICK_CASES.values(), ids=PICK_CASES.keys())
+def test_pick_quantities(cells, expected):
+    start = time.perf_counter()
+    q = pick_quantities(cells)
+    # the work grows with the cells, not with their bounding box
+    assert time.perf_counter() - start < 0.5
+    assert (q.area, q.boundary, q.interior, q.holes) == expected
 
 
 def test_pick_quantities_straight_closed_form():
@@ -154,21 +180,32 @@ def test_pick_quantities_straight_closed_form():
         assert (q.interior, q.holes) == (0, 0)
 
 
-def test_pick_quantities_ring_with_hole():
-    ring = [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
-    q = pick_quantities(ring)
-    assert (q.area, q.boundary, q.interior, q.holes) == (8, 16, 0, 1)
+def _bounded_complement_components(cells, lo, hi):
+    """Brute force: 4-connected components of the uncovered cells of the
+    box lo..hi (one wider than the cells all round) that miss its edge."""
+    free = {(x, y) for x in range(lo, hi + 1) for y in range(lo, hi + 1)} - set(cells)
+    bounded = 0
+    while free:
+        stack = [free.pop()]
+        touches_edge = False
+        while stack:
+            x, y = stack.pop()
+            touches_edge |= x in (lo, hi) or y in (lo, hi)
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                if (x + dx, y + dy) in free:
+                    free.remove((x + dx, y + dy))
+                    stack.append((x + dx, y + dy))
+        bounded += not touches_edge
+    return bounded
 
 
-def test_pick_quantities_holed_square():
-    cells = [
-        (x, y)
-        for x in range(6)
-        for y in range(6)
-        if not (2 <= x <= 3 and 2 <= y <= 3)
-    ]
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1))
+def test_pick_quantities_on_box_subsets(cells):
     q = pick_quantities(cells)
-    assert (q.area, q.boundary, q.interior, q.holes) == (32, 32, 16, 1)
+    assert q.area == len(cells)
+    assert q.interior == len(instances_of(SQUARE, cells))
+    assert q.holes == _bounded_complement_components(cells, -1, 6)
 
 
 def test_pick_quantities_rejects_empty():

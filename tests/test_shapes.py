@@ -1,4 +1,4 @@
-"""Shape families, trims and row profiles."""
+"""Shape families and trims."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,6 @@ from prismatic.shapes import (
     pyramid,
     pyramid_trimmed,
     rectangle,
-    row_profile,
     straight,
     ziggurat,
 )
@@ -124,15 +123,6 @@ def test_every_trim_removes_one_instance_per_cell():
                 assert len(t) == n * (n + 1) // 2 - k
                 assert len(instances_of(LTROMINO, t)) == base - k
                 assert is_connected(t.cell_set)
-
-
-def test_row_profile():
-    rp = row_profile(ziggurat(3))
-    assert rp.cells_per_row == (1, 3, 5)
-    assert rp.top_counts == (1, 3)
-    rp = row_profile(rectangle(4, 4))
-    assert rp.cells_per_row == (4, 4, 4, 4)
-    assert rp.top_counts == (2, 2, 2)
 
 
 @settings(max_examples=30, deadline=None)
