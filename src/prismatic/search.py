@@ -693,15 +693,26 @@ def _redelmeier_witnesses(
     whose translate holds a banned cell is *dead for j*: it plays j in
     no instance of any completion.  So every completion of ``size``
     cells holds at most ``size - dead_j`` instances, and a branch with
-    ``dead_j > size - need`` for some j is cut.  On a finished shape,
-    where every other cell is banned, the last cell of each row is dead
-    for the left one of two side-by-side pattern cells: the
-    ``size - H`` bound of :func:`_growth_box`.
+    ``dead_j > size - need`` for some j is cut.
+
+    Row ends tighten the count for a pattern cell j whose right-hand
+    neighbour (x + 1, y) is in the pattern too: the last cell of a row
+    of a finished shape has no shape cell to its right, so it plays j in
+    no instance.  Each occupied row's last cell in a completion is
+    either the row's rightmost occupied cell now or a cell not yet
+    grown; either way it lies outside ``dead_j`` unless it is that
+    rightmost cell and dead already, and distinct rows give distinct
+    cells.  So with ``ends`` the rightmost occupied cell of each row, a
+    completion holds at most ``size - |dead_j | ends|`` instances, and
+    the branch is cut once ``|dead_j | ends| > size - need``.  This is
+    the ``size - H`` bound of :func:`_growth_box` applied to the rows
+    grown so far.
 
     The test also ends a level: when a child fails it and the cells
-    occupied before the child, with those banned by then, fail it alone,
-    every later sibling fails too, since it bans and occupies supersets
-    of them.
+    occupied before the child, with those banned by then and that
+    occupancy's row ends, fail it alone, every later sibling fails too,
+    since each of its completions holds those cells and avoids the
+    banned ones.
     """
     clamped = _growth_box(pattern, size, box, need)
     if clamped is None:
@@ -744,6 +755,11 @@ def _redelmeier_witnesses(
     # c - offsets[j]: bit c of ``bad >> shifts[j]``.  Banning cell c spoils
     # ``spread << c``, banning column x ``column << x``.
     shifts = [pad - off for off in offsets]
+    # Pattern cells with a right-hand neighbour also count the row ends:
+    # bit x + stride * y of ``ends`` marks row y's rightmost occupied cell.
+    rowed = [pad - off for off in offsets if off + 1 in offsets]
+    plain = [sh for sh in shifts if sh not in rowed]
+    rowmask = (1 << stride) - 1
     slack = size - need
     # The cut needs more than ``slack`` occupied cells, so with ``slack >=
     # size - 1`` (need <= 1) it never fires and the ints stay 0.
@@ -761,15 +777,22 @@ def _redelmeier_witnesses(
     nodes = 0
 
     def grow(
-        untried: list[int], sofar: int, inst: int, lo: int, hi: int, occ: int, bad: int
+        untried: list[int],
+        sofar: int,
+        inst: int,
+        lo: int,
+        hi: int,
+        occ: int,
+        bad: int,
+        ends: int,
     ) -> None:
         nonlocal nodes
         last = sofar + 1 == size
         # Fewest instances a next cell may leave and still reach ``need``.
         floor = need - gain * (size - sofar - 1)
-        # The pattern cells whose dead cells are counted: none while no
-        # more cells are occupied than ``slack``.
-        roles = shifts if sofar + 1 > slack else ()
+        # The pattern cells whose dead cells are counted, alone and with
+        # the row ends: none while no more cells are occupied than ``slack``.
+        bare, ended = (plain, rowed) if sofar + 1 > slack else ((), ())
         while untried:
             c = untried.pop()
             nodes += 1
@@ -792,39 +815,51 @@ def _redelmeier_witnesses(
             elif left < lo:
                 kept |= column << (lo + x0)
             taken = occ | 1 << c
-            for s in roles:
+            for s in bare:
                 if (kept >> s & taken).bit_count() > slack:
-                    # Every later sibling keeps a superset of ``bad`` and
-                    # takes a superset of ``occ``: once those alone fail,
-                    # so do all of them.
-                    for r in roles:
-                        if (bad >> r & occ).bit_count() > slack:
-                            return
                     break
             else:
-                newinst = inst
-                for m in completes[c]:
-                    if occ & m == m:
-                        newinst += 1
-                if not floor <= newinst <= most:
+                # c becomes its row's end unless that end lies right of it.
+                base = c - x
+                e = ends >> base & rowmask
+                tends = ends if e >> x else ends ^ e << base | 1 << c
+                for s in ended:
+                    if (kept >> s & taken | tends).bit_count() > slack:
+                        break
+                else:
+                    newinst = inst
+                    for m in completes[c]:
+                        if occ & m == m:
+                            newinst += 1
+                    if not floor <= newinst <= most:
+                        continue
+                    if last:
+                        found.append(taken)
+                        continue
+                    # A cell the span has put out of reach is banned
+                    # already, and the span only widens below here.
+                    fresh = []
+                    for nb in neighbors[c]:
+                        if not reached[nb] and right - width < cols[nb] < left + width:
+                            reached[nb] = 1
+                            fresh.append(nb)
+                    grow(untried + fresh, sofar + 1, newinst, left, right, taken, kept, tends)
+                    for nb in fresh:
+                        reached[nb] = 0
                     continue
-                if last:
-                    found.append(taken)
-                    continue
-                # A cell the span has put out of reach is banned already,
-                # and the span only widens below here.
-                fresh = []
-                for nb in neighbors[c]:
-                    if not reached[nb] and right - width < cols[nb] < left + width:
-                        reached[nb] = 1
-                        fresh.append(nb)
-                grow(untried + fresh, sofar + 1, newinst, left, right, taken, kept)
-                for nb in fresh:
-                    reached[nb] = 0
+            # c failed the dead-cell test.  Every later sibling keeps a
+            # superset of ``bad`` and takes a superset of ``occ``: once
+            # those alone fail, so do all of them.
+            for r in bare:
+                if (bad >> r & occ).bit_count() > slack:
+                    return
+            for r in ended:
+                if (bad >> r & occ | ends).bit_count() > slack:
+                    return
 
     reached[x0] = 1
     try:
-        grow([x0], 0, 0, x0, x0, 0, bad)
+        grow([x0], 0, 0, x0, x0, 0, bad, 0)
     except RecursionError:
         raise _too_deep("shape growth", size) from None
 

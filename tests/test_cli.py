@@ -466,7 +466,7 @@ def test_shape_census_budget_exit_3_for_every_thread_count(capsys, monkeypatch):
 
 
 def test_min_size_growth_node_regression(capsys, monkeypatch):
-    # The clamped box (5x5 at 13 cells) and the dead-cell cut grow 8,127
+    # The clamped box (5x5 at 13 cells) and the dead-cell cut grow 2,558
     # cells over sizes 12 and 13; the clamp alone needs 180,561 and a
     # size x size box 596,894, past this budget.
     monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "25000")
@@ -477,12 +477,12 @@ def test_min_size_growth_node_regression(capsys, monkeypatch):
 
 
 def test_min_size_budget_names_the_budget_and_size(capsys, monkeypatch):
-    # The budget runs out at 13 cells, having spent 592 of it on size 12;
+    # The budget runs out at 13 cells, having spent 261 of it on size 12;
     # the message gives the budget as set.
-    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "5000")
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "1000")
     code, out, err = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "8", "--cap", "13")
     assert (code, out) == (3, "")
-    assert err == "budget exceeded: shape enumeration exceeded the 5000 node budget at size 13\n"
+    assert err == "budget exceeded: shape enumeration exceeded the 1000 node budget at size 13\n"
 
 
 def test_min_size_skips_the_sizes_no_box_admits():

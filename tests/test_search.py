@@ -788,10 +788,28 @@ def test_growth_matches_subset_scan(pattern, n, width, height, size):
 @example(straight(3), 4, 3, 12, 6, 12)
 @example(SQUARE, 3, 4, 11, 4, 5)
 @example(LTROMINO, 3, 4, 9, 4, 20)
+# Row ends alone cut a branch in each of these: its dead cells pass the
+# test, their union with the rows' rightmost cells fails it.
+@example(straight(2), 3, 4, 7, 3, 3)
+@example(LTROMINO, 3, 3, 5, 2, 2)
+@example(SQUARE, 3, 3, 6, 2, 4)
+@example(TEE, 4, 2, 6, 2, 3)
+# Here row ends also end a level that the dead cells alone would not.
+@example(LTROMINO, 3, 4, 6, 2, 2)
 def test_growth_matches_subset_scan_for_any_instance_range(pattern, width, height, size, a, b):
     need, most = sorted((a, b))
     grown, _ = _redelmeier_witnesses(pattern, size, (width, height), need, most, DEFAULT_NODE_LIMIT)
     assert grown == _scan_candidates(pattern, size, (width, height), need, most)
+
+
+def test_growth_with_no_instance_bound_counts_fixed_polyominoes():
+    # With one-cell instances and need 0 nothing is cut: growth lists
+    # every fixed polyomino once (OEIS A001168).
+    counts = [
+        len(_redelmeier_witnesses(straight(1), s, (s, s), 0, s, DEFAULT_NODE_LIMIT)[0])
+        for s in range(1, 10)
+    ]
+    assert counts == [1, 2, 6, 19, 63, 216, 760, 2725, 9910]
 
 
 def _min_size(pattern, count, cap):
@@ -805,13 +823,13 @@ def _grown(size):
 @pytest.mark.parametrize(
     "query, cells",
     [
-        (_min_size(LTROMINO, 8, 13), 8_127),
-        (_min_size(LTROMINO, 9, 16), 8_383),
-        (_min_size(SQUARE, 4, 10), 1_275),
-        (_min_size(TEE, 4, 10), 1_394),
-        (_min_size(_turned(TRANSPOSE, TEE), 4, 10), 922),
-        (_grown(13), 7_569),
-        (_grown(14), 29_047),
+        (_min_size(LTROMINO, 8, 13), 2_558),
+        (_min_size(LTROMINO, 9, 16), 2_581),
+        (_min_size(SQUARE, 4, 10), 606),
+        (_min_size(TEE, 4, 10), 593),
+        (_min_size(_turned(TRANSPOSE, TEE), 4, 10), 673),
+        (_grown(13), 2_297),
+        (_grown(14), 14_373),
     ],
     ids=["ltromino-8", "ltromino-9", "square-4", "tee-4", "tee-4-transposed", "census-13", "census-14"],
 )
