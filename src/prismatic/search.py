@@ -39,6 +39,7 @@ runs whole in the calling process, one shape at a time.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -649,11 +650,34 @@ def _growth_box(
     has no empty row, so instances <= size - H (<= size - W for a pattern
     two or more cells high).  The clamped box must still hold ``size``
     cells and ``need`` translates of the pattern.
+
+    A pattern two or more cells wide and high allows at most ``size -
+    m(size)`` instances, m(s) the least m with m(m + 1)/2 >= s (a
+    staircase bound, met by the L-tromino's trimmed pyramids).  In a cell
+    set S let R hold the rightmost cell of each occupied row, T the
+    topmost (largest y) cell of each occupied column, and m = |R | T|;
+    then |S| <= m(m + 1)/2.  Send the cell (x, y) to the pair (end of
+    row y, top of column x): the pair gives y and x back, so the map is
+    one to one.  Were (x, y) sent to (a, b) and another cell to (b, a),
+    with a = (X_a, y) and b = (x, Y_b), that cell would be (X_a, Y_b) in
+    S; a ends row y and tops column X_a, b tops column x and ends row
+    Y_b, so x <= X_a <= x and y <= Y_b <= y, and a = b = (x, y).  So
+    each unordered pair of R | T, and each diagonal pair, is hit at
+    most once.  Such a pattern has a cell j with a horizontal and a
+    vertical neighbour (see :func:`_stabilizer`); reflected so that
+    they lie right of and above it, a shape cell playing j has shape
+    cells right of and above it, so it lies outside R | T, and distinct
+    instances have distinct such cells: instances <= s - m <= s - m(s),
+    as s <= m(m + 1)/2 gives m >= m(s).  Since s - m(s) never drops as
+    s grows, admission stays monotone in the size.
     """
     width = min(box[0], size - need if pattern.height > 1 else size)
     height = min(box[1], size - need if pattern.width > 1 else size)
     translates = max(0, width - pattern.width + 1) * max(0, height - pattern.height + 1)
     if min(width, height) < 1 or size > width * height or translates < need:
+        return None
+    # m(s) = (isqrt(8s) + 1) // 2: m(m + 1)/2 >= s means (2m + 1)**2 > 8s.
+    if min(pattern.width, pattern.height) > 1 and need > size - (math.isqrt(8 * size) + 1) // 2:
         return None
     return width, height
 
@@ -671,11 +695,13 @@ def _redelmeier_witnesses(
 
     Canonical fixed-polyomino enumeration by rooted growth (Redelmeier,
     "Counting polyominoes: yet another attack", 1981): the first cell is
-    the leftmost cell of the bottom row, candidate cells join in discovery
-    order and each is either taken or permanently skipped, so every fixed
-    polyomino appears exactly once.  The box is clamped on entry by
-    :func:`_growth_box`.  Growth stays in the H rows from the root's row
-    up and within W - 1 columns either side of the root.  A cell that would make the
+    the leftmost cell of the bottom row, the untried candidate with the
+    highest index (row-major from the root) is popped first, and each is
+    either taken or permanently skipped, so every fixed polyomino appears
+    exactly once; that holds for any pop order, and so do the cuts below.
+    The box is clamped on entry by :func:`_growth_box`.  Growth stays in
+    the H rows from the root's row up and within W - 1 columns either
+    side of the root.  A cell that would make the
     shape wider than W, or push its instance count past ``most``, is
     skipped: every superset of such a shape fails the same way.  Subtrees
     that cannot reach ``need`` instances are cut; each new cell adds at
@@ -734,8 +760,10 @@ def _redelmeier_witnesses(
         allowed[stride * y : stride * y + span] = b"\x01" * span
     allowed[:x0] = bytes(x0)
     cols = [i % stride for i in range(total)]
+    # Growth pops the highest untried cell; neighbours are listed in
+    # increasing order so that the fresh ones join ``untried`` sorted.
     neighbors = [
-        tuple(j for j in (i - 1, i + 1, i - stride, i + stride) if 0 <= j < total and allowed[j])
+        tuple(j for j in (i - stride, i - 1, i + 1, i + stride) if 0 <= j < total and allowed[j])
         for i in range(total)
     ]
     # completes[c]: a mask of the other cells of each instance c completes.
@@ -843,7 +871,14 @@ def _redelmeier_witnesses(
                         if not reached[nb] and right - width < cols[nb] < left + width:
                             reached[nb] = 1
                             fresh.append(nb)
-                    grow(untried + fresh, sofar + 1, newinst, left, right, taken, kept, tends)
+                    later = untried + fresh
+                    # c was the largest untried cell, so a fresh c - 1, c + 1
+                    # or c + stride passes every cell left; only c - stride
+                    # may sort lower.
+                    if fresh and fresh[0] < c - 1:
+                        del later[len(untried)]
+                        bisect.insort(later, fresh[0])
+                    grow(later, sofar + 1, newinst, left, right, taken, kept, tends)
                     for nb in fresh:
                         reached[nb] = 0
                     continue
@@ -894,8 +929,9 @@ def min_size_with_instances(
     # Admission is monotone in the size s: the clamped sides and the
     # translates only grow with s, and the room left for s cells, W*H - s,
     # is s*s - s, s*(s - count) - s or (s - count)**2 - s, each increasing
-    # once the sides are positive (s > count).  The bisection runs on plain
-    # ints: a range past sys.maxsize entries has no len().
+    # once the sides are positive (s > count), and the staircase room
+    # s - m(s) never drops, as m(s + 1) <= m(s) + 1.  The bisection runs
+    # on plain ints: a range past sys.maxsize entries has no len().
     lo, hi = count + len(pattern.cells) - 1, size_cap + 1
     while lo < hi:
         mid = (lo + hi) // 2

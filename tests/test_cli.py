@@ -466,9 +466,9 @@ def test_shape_census_budget_exit_3_for_every_thread_count(capsys, monkeypatch):
 
 
 def test_min_size_growth_node_regression(capsys, monkeypatch):
-    # The clamped box (5x5 at 13 cells) and the dead-cell cut grow 2,558
-    # cells over sizes 12 and 13; the clamp alone needs 180,561 and a
-    # size x size box 596,894, past this budget.
+    # The clamped box (5x5 at 13 cells) and the dead-cell cut grow 1,809
+    # cells at size 13, the staircase bound skipping size 12; the clamp
+    # alone needs 180,561 and a size x size box 596,894, past this budget.
     monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "25000")
     code, out, _ = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "8", "--cap", "13")
     assert code == 0
@@ -477,8 +477,8 @@ def test_min_size_growth_node_regression(capsys, monkeypatch):
 
 
 def test_min_size_budget_names_the_budget_and_size(capsys, monkeypatch):
-    # The budget runs out at 13 cells, having spent 261 of it on size 12;
-    # the message gives the budget as set.
+    # The budget runs out at 13 cells, the first size the staircase bound
+    # admits; the message gives the budget as set.
     monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "1000")
     code, out, err = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "8", "--cap", "13")
     assert (code, out) == (3, "")
@@ -500,8 +500,10 @@ def test_min_size_skips_the_sizes_no_box_admits():
 
 
 def test_min_size_bisects_to_the_first_admitted_size():
-    # 10**12 square instances: the first size the box admits lies about
-    # 10**6 sizes past the counting bound; a walk over them took seconds.
+    # 10**12 square instances: the first size the staircase bound admits,
+    # s = 10**12 + m with m = 1,414,215 the least m(m + 1)/2 >= s, lies
+    # about 1.4 * 10**6 sizes past the counting bound; a walk over them
+    # took seconds.
     argv = ["min-size", "--pattern", "square", "--instances", str(10**12), "--cap", str(2 * 10**12)]
     start = time.perf_counter()
     proc = subprocess.run(
@@ -509,7 +511,7 @@ def test_min_size_bisects_to_the_first_admitted_size():
     )
     assert time.perf_counter() - start < 3
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(f"error: shape growth of {10**12 + 10**6 + 1} cells passes ")
+    assert proc.stderr.startswith(f"error: shape growth of {10**12 + 1_414_215} cells passes ")
     assert proc.stderr.count("\n") == 1
 
 
@@ -990,3 +992,14 @@ def test_ascii_render_refuses_a_huge_grid_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_census_past_the_staircase_bound_answers_at_once(capsys):
+    # 3**3 = 27 L-tromino instances need 35 cells: 34 - m(34) = 26 with
+    # m(34) = 8, so no 34-cell shape is grown.
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "shape-census", "--pattern", "ltromino", "--colors", "3", "--size", "34", "--bbox", "9x9"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "", "")

@@ -34,6 +34,7 @@ from prismatic.search import (
     NoWitnessError,
     SearchError,
     _cell_table,
+    _growth_box,
     _node_limit,
     _redelmeier_witnesses,
     _run_search,
@@ -47,6 +48,7 @@ from prismatic.shapes import (
     SQUARE,
     TEE,
     ZEE,
+    pyramid_trimmed,
     rectangle,
     straight,
     ziggurat,
@@ -823,13 +825,13 @@ def _grown(size):
 @pytest.mark.parametrize(
     "query, cells",
     [
-        (_min_size(LTROMINO, 8, 13), 2_558),
-        (_min_size(LTROMINO, 9, 16), 2_581),
-        (_min_size(SQUARE, 4, 10), 606),
-        (_min_size(TEE, 4, 10), 593),
-        (_min_size(_turned(TRANSPOSE, TEE), 4, 10), 673),
-        (_grown(13), 2_297),
-        (_grown(14), 14_373),
+        (_min_size(LTROMINO, 8, 13), 1_809),
+        (_min_size(LTROMINO, 9, 16), 1_814),
+        (_min_size(SQUARE, 4, 10), 520),
+        (_min_size(TEE, 4, 10), 558),
+        (_min_size(_turned(TRANSPOSE, TEE), 4, 10), 668),
+        (_grown(13), 1_809),
+        (_grown(14), 10_890),
     ],
     ids=["ltromino-8", "ltromino-9", "square-4", "tee-4", "tee-4-transposed", "census-13", "census-14"],
 )
@@ -839,3 +841,65 @@ def test_growth_cells_are_pinned(query, cells):
     query(cells)
     with pytest.raises(BudgetExceededError):
         query(cells - 1)
+
+
+def _staircase(s):
+    """The least m with m(m + 1)/2 >= s."""
+    m = 0
+    while m * (m + 1) // 2 < s:
+        m += 1
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=40),
+    st.sampled_from([(1, 1), (-1, 1), (1, -1), (-1, -1)]),
+)
+def test_row_ends_and_column_tops_bound_any_cell_set(cells, flip):
+    # The staircase lemma of _growth_box holds for any cell set, holes and
+    # gaps included, whichever ends of the rows and columns are taken.
+    sx, sy = flip
+    moved = {(sx * x, sy * y) for x, y in cells}
+    ends = {max(c for c in moved if c[1] == y) for _, y in moved}
+    tops = {max(c for c in moved if c[0] == x) for x, _ in moved}
+    m = len(ends | tops)
+    assert len(cells) <= m * (m + 1) // 2
+
+
+STAIRCASE_PATTERNS = [p for p in BOUND_PATTERNS if min(p.width, p.height) > 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.sampled_from(STAIRCASE_PATTERNS + [_turned(TRANSPOSE, p) for p in STAIRCASE_PATTERNS]),
+)
+def test_staircase_bound_holds_for_every_pattern_two_wide_and_high(seed, size, pattern):
+    shape = random_polyomino(random.Random(seed), size)
+    count = len(instances_of(pattern, shape))
+    assert count <= size - _staircase(size)
+    assert _growth_box(pattern, size, (size, size), count) is not None
+
+
+def test_staircase_bound_is_the_ltromino_maximum():
+    # Over every fixed polyomino of s cells (OEIS A001168), the most
+    # L-tromino instances is the most _growth_box admits, s - m(s).
+    for s in range(3, 10):
+        fixed, _ = _redelmeier_witnesses(straight(1), s, (s, s), 0, s, DEFAULT_NODE_LIMIT)
+        most = max(len(instances_of(LTROMINO, shape)) for shape in fixed)
+        assert most == s - _staircase(s)
+        assert _growth_box(LTROMINO, s, (s, s), most) is not None
+        assert _growth_box(LTROMINO, s, (s, s), most + 1) is None
+
+
+def test_ltromino_four_colors_need_exactly_76_cells():
+    # 4**3 = 64 instances: 75 - m(75) = 63 rules out 75 cells and below,
+    # and a trimmed pyramid of 76 cells carries a verified coloring.
+    assert _growth_box(LTROMINO, 75, (75, 75), 64) is None
+    shape = pyramid_trimmed(12, "bottom-right-diag", 2)
+    assert len(shape) == 76
+    words, nodes, _ = _run_search(shape, LTROMINO, 4, DEFAULT_NODE_LIMIT, solution_cap=1)
+    assert nodes == 78_368
+    assert is_debruijn_coloring(ColoredPolyomino(shape, 4, words[0]), LTROMINO)
