@@ -20,7 +20,6 @@ from .lattice import (
     PickQuantities,
     Polyomino,
     apply_lattice_map,
-    has_pinch,
     instance_cells,
     instances_of,
     is_connected,

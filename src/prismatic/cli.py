@@ -93,6 +93,10 @@ def _emit(obj, ascii_out: bool, n: int | None = None) -> None:
 
 
 def _cmd_seq(args) -> int:
+    if args.all and args.acyclic:
+        raise debruijn.SequenceError("--all enumerates cyclic sequences; drop --acyclic")
+    if args.start is not None and not args.acyclic:
+        raise debruijn.SequenceError("--start applies to --acyclic only")
     if args.all:
         for seq in debruijn.enumerate_all_cyclic(args.colors, args.order):
             print(json.dumps(seq.to_json()) if args.json else seq.text())
@@ -101,7 +105,7 @@ def _cmd_seq(args) -> int:
         args.colors, args.order, method=args.method, seed=args.seed
     )
     if args.acyclic:
-        seq = debruijn.acyclic_from_cyclic(seq, args.start)
+        seq = debruijn.acyclic_from_cyclic(seq, args.start or 0)
     print(json.dumps(seq.to_json()) if args.json else seq.text())
     return 0
 
@@ -203,12 +207,8 @@ def _cmd_transform(args) -> int:
     cells, n = formats.parse_json(_read_doc(args.input))
     image = lattice.apply_lattice_map(cells, args.map)
     if args.normalize:
-        mx = min(x for x, _ in image)
-        my = min(y for _, y in image)
-        if isinstance(image, dict):
-            image = {(x - mx, y - my): c for (x, y), c in image.items()}
-        else:
-            image = frozenset((x - mx, y - my) for x, y in image)
+        moved = lattice._to_origin(image)
+        image = dict(zip(moved, image.values())) if n is not None else frozenset(moved)
     print(json.dumps(formats.to_json(image, n)))
     return 0
 
@@ -220,6 +220,9 @@ PRINT_LOG10 = 4299
 
 def _cmd_count(args) -> int:
     n, k = args.colors, args.order
+    if (k is None) == (args.what != "cock"):
+        need = "needs" if k is None else "takes no"
+        raise debruijn.SequenceError(f"count {args.what} {need} --order")
     if args.what == "cyclic":
         log10, count = debruijn.count_log10(n, k), lambda: debruijn.count_cyclic(n, k)
     elif args.what == "acyclic":
@@ -255,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("greedy-least", "eulerian"), default="greedy-least")
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--acyclic", action="store_true", help="emit the acyclic form")
-    p.add_argument("--start", type=_int_arg, default=0, help="cycle start for --acyclic")
+    p.add_argument("--start", type=_int_arg, help="cycle start for --acyclic")
     p.add_argument("--all", action="store_true", help="enumerate every cyclic sequence")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_seq)
@@ -329,9 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     """Parse and execute; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "count" and args.what in ("cyclic", "acyclic") and args.order is None:
-        print("count cyclic/acyclic needs --order", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except search.BudgetExceededError as exc:

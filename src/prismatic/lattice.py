@@ -13,10 +13,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Collection, Container, Iterable, Mapping
 
 Cell = tuple[int, int]
 Vec = tuple[int, int]
@@ -111,9 +113,14 @@ def normalize(cells: Iterable[Cell]) -> Polyomino:
     cs = set(cells)
     if not cs:
         raise EmptySetError("cannot normalize an empty cell set")
-    mx = min(x for x, _ in cs)
-    my = min(y for _, y in cs)
-    return Polyomino(tuple(sorted((x - mx, y - my) for x, y in cs)))
+    return Polyomino(tuple(sorted(_to_origin(cs))))
+
+
+def _to_origin(cells: Collection[Cell]) -> list[Cell]:
+    """``cells`` translated to min x = min y = 0, in input order."""
+    mx = min(x for x, _ in cells)
+    my = min(y for _, y in cells)
+    return [(x - mx, y - my) for x, y in cells]
 
 
 def instances_of(pattern: Polyomino, cells: Iterable[Cell]) -> list[Vec]:
@@ -183,10 +190,8 @@ class ColoredPolyomino:
     def from_mapping(cls, mapping: Mapping[Cell, int], n: int) -> "ColoredPolyomino":
         """Build from a cell->color mapping, normalizing the translate."""
         shape = normalize(mapping)
-        mx = min(x for x, _ in mapping)
-        my = min(y for _, y in mapping)
-        colors = tuple(mapping[(x + mx, y + my)] for x, y in shape.cells)
-        return cls(shape, n, colors)
+        # A translate keeps the (x, y) order, so sorted keys follow shape.cells.
+        return cls(shape, n, tuple(map(mapping.__getitem__, sorted(mapping))))
 
     def mapping(self) -> dict[Cell, int]:
         return dict(zip(self.shape.cells, self.colors))
@@ -213,9 +218,11 @@ def pick_quantities(cells: Iterable[Cell]) -> PickQuantities:
     the complement, and Euler's formula for a union of closed cells,
     ``V - E + area == C - holes``, gives their number.
 
-    When the shape has no pinch (see :func:`has_pinch`) its boundary
-    decomposes into ``holes + 1`` disjoint simple loops, each loop visits
-    as many points as it has unit edges, and the counts satisfy
+    A pinch is a lattice point whose four incident cells are covered
+    exactly on one diagonal, so two cells meet there only at a corner.
+    When the shape has no pinch its boundary decomposes into ``holes +
+    1`` disjoint simple loops, each loop visits as many points as it has
+    unit edges, and the counts satisfy
     ``boundary / 2 == area + 1 - interior - holes``.  At a pinch the
     boundary revisits a point, the point count drops below the edge
     count, and the identity can be off by half the number of pinches.
@@ -269,30 +276,78 @@ def apply_lattice_map(obj, name: str):
     re-normalized.  Raises :class:`UnknownMapError` for unknown names.
     """
     try:
-        a, b, c, d = LATTICE_MAPS[name]
+        m = LATTICE_MAPS[name]
     except KeyError:
         raise UnknownMapError(
             f"unknown lattice map {name!r}; known: {sorted(LATTICE_MAPS)}"
         ) from None
     if isinstance(obj, ColoredPolyomino):
         obj = obj.mapping()
+    image = _map_cells(obj, m)
     if isinstance(obj, Mapping):
-        return {
-            (a * x + b * y, c * x + d * y): col for (x, y), col in obj.items()
-        }
-    return frozenset((a * x + b * y, c * x + d * y) for x, y in obj)
+        return dict(zip(image, obj.values()))
+    return frozenset(image)
 
 
-def has_pinch(cells: Iterable[Cell]) -> bool:
-    """True when two cells meet only at a corner lattice point.
+def _map_cells(cells: Iterable[Cell], m: tuple[int, int, int, int]) -> list[Cell]:
+    """The images of ``cells`` under the matrix ``m``, in input order."""
+    a, b, c, d = m
+    return [(a * x + b * y, c * x + d * y) for x, y in cells]
 
-    A pinch is a point whose four incident cells are covered exactly on
-    one diagonal.  At a pinch the boundary passes through the same point
-    twice, so it does not decompose into disjoint simple loops and the
-    half-boundary identity of :func:`pick_quantities` can fail.
+
+def _moved(cells: Iterable[Cell], m: tuple[int, int, int, int]) -> tuple[Cell, ...]:
+    """The image of ``cells`` under the matrix ``m``, translated to the
+    origin and sorted: the canonical cells of the image."""
+    return tuple(sorted(_to_origin(_map_cells(cells, m))))
+
+
+_IDENTITY = (1, 0, 0, 1)
+# The 8 isometries of the square lattice that fix the origin, as
+# matrices in the LATTICE_MAPS convention: one entry +-1 in each row and
+# column.
+_ISOMETRIES = tuple(
+    (a, b, c, d)
+    for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
+    if a * b == c * d == 0 and abs(a * d - b * c) == 1
+)
+
+
+@functools.lru_cache(maxsize=16)
+def _stabilizer(pattern: Polyomino) -> tuple[tuple[int, int, int, int], ...]:
+    """The integer matrices of determinant +-1, in the :data:`LATTICE_MAPS`
+    convention, that carry ``pattern`` onto a translate of itself; the
+    identity first.  The coloring search of :mod:`prismatic.search`
+    breaks symmetry with them, and its census shares counts along them.
+
+    Such a map sends instances of ``pattern`` to instances, so it carries
+    de Bruijn colorings of a shape to de Bruijn colorings of the image.
+    A pattern with a cell c that has a horizontal neighbour h and a
+    vertical one v (every pattern two or more cells wide and high has
+    one) spans the lattice from c, and a map in the group sends c, h and
+    v to three pattern cells, which fix it; so every choice of three is
+    tried.  The group then holds more than isometries: the row-shift
+    conjugates of the square's 8 symmetries fix the zee.  A one-row or
+    one-column pattern is fixed by infinitely many shears; only the
+    isometries among its maps are kept.
     """
-    cellset = frozenset(cells)
-    return any(_corner_only(cellset, x, y) for x, y in cellset)
+    cells = pattern.cell_set
+    if pattern.width == 1 or pattern.height == 1:
+        maps = list(_ISOMETRIES)
+    else:
+        cx, cy = next(
+            (x, y)
+            for x, y in pattern.cells
+            if {(x - 1, y), (x + 1, y)} & cells and {(x, y - 1), (x, y + 1)} & cells
+        )
+        sx = 1 if (cx + 1, cy) in cells else -1
+        sy = 1 if (cx, cy + 1) in cells else -1
+        maps = []
+        for (x1, y1), (x2, y2), (x3, y3) in itertools.permutations(pattern.cells, 3):
+            a, c, b, d = sx * (x2 - x1), sx * (y2 - y1), sy * (x3 - x1), sy * (y3 - y1)
+            if abs(a * d - b * c) == 1:
+                maps.append((a, b, c, d))
+    kept = {m for m in maps if _moved(pattern.cells, m) == pattern.cells}
+    return tuple(sorted(kept, key=lambda m: (m != _IDENTITY, m)))
 
 
 def _corner_only(cells: Container[Cell], x: int, y: int) -> bool:

@@ -14,9 +14,10 @@ tree:
   (value precedence);
 * lattice symmetry: an integer map of determinant +-1 that carries both
   the pattern and the shape onto translates of themselves carries
-  de Bruijn colorings to de Bruijn colorings (:func:`_stabilizer`,
-  :func:`_shape_group`; for the zee these are the row-shift conjugates
-  of the square's 8 symmetries).  The search keeps a word w only while
+  de Bruijn colorings to de Bruijn colorings (``lattice._stabilizer``
+  lists the pattern's maps, which for the zee are the row-shift
+  conjugates of the square's 8 symmetries, and :func:`_shape_group`
+  those that also fix the shape).  The search keeps a word w only while
   w <= pi(g w) for every such map g and color permutation pi, the last
   comparisons made at the leaf, so it keeps exactly the least word of
   each orbit of the maps and the permutations together (lex-leader
@@ -50,9 +51,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .lattice import (
+    _IDENTITY,
     ColoredPolyomino,
     Polyomino,
     Vec,
+    _map_cells,
+    _moved,
+    _stabilizer,
+    _to_origin,
     apply_lattice_map,
     instance_cells,
     normalize,
@@ -282,70 +288,6 @@ def _surely_more_words(n: int, k: int, count: int) -> bool:
     return (n.bit_length() - 1) * k >= count.bit_length()
 
 
-_IDENTITY = (1, 0, 0, 1)
-# The 8 isometries of the square lattice that fix the origin, as matrices
-# (a, b, c, d) of (x, y) -> (a x + b y, c x + d y): one entry +-1 in each
-# row and column.
-_ISOMETRIES = tuple(
-    (a, b, c, d)
-    for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
-    if a * b == c * d == 0 and abs(a * d - b * c) == 1
-)
-
-
-def _image(cells: Iterable[Vec], m: tuple[int, int, int, int]) -> list[Vec]:
-    """The images of ``cells`` under the matrix ``m``, in input order,
-    translated to min x = min y = 0.  No connectivity check: an image
-    under a map that is no isometry may fall apart."""
-    a, b, c, d = m
-    image = [(a * x + b * y, c * x + d * y) for x, y in cells]
-    mx = min(x for x, _ in image)
-    my = min(y for _, y in image)
-    return [(x - mx, y - my) for x, y in image]
-
-
-def _moved(cells: Iterable[Vec], m: tuple[int, int, int, int]) -> tuple[Vec, ...]:
-    """:func:`_image`, sorted."""
-    return tuple(sorted(_image(cells, m)))
-
-
-@functools.lru_cache(maxsize=16)
-def _stabilizer(pattern: Polyomino) -> tuple[tuple[int, int, int, int], ...]:
-    """The integer matrices of determinant +-1, in the
-    :data:`~prismatic.lattice.LATTICE_MAPS` convention, that carry
-    ``pattern`` onto a translate of itself; the identity first.
-
-    Such a map sends instances of ``pattern`` to instances, so it carries
-    de Bruijn colorings of a shape to de Bruijn colorings of the image.
-    A pattern with a cell c that has a horizontal neighbour h and a
-    vertical one v (every pattern two or more cells wide and high has
-    one) spans the lattice from c, and a map in the group sends c, h and
-    v to three pattern cells, which fix it; so every choice of three is
-    tried.  The group then holds more than isometries: the row-shift
-    conjugates of the square's 8 symmetries fix the zee.  A one-row or
-    one-column pattern is fixed by infinitely many shears; only the
-    isometries among its maps are kept.
-    """
-    cells = pattern.cell_set
-    if pattern.width == 1 or pattern.height == 1:
-        maps = list(_ISOMETRIES)
-    else:
-        cx, cy = next(
-            (x, y)
-            for x, y in pattern.cells
-            if {(x - 1, y), (x + 1, y)} & cells and {(x, y - 1), (x, y + 1)} & cells
-        )
-        sx = 1 if (cx + 1, cy) in cells else -1
-        sy = 1 if (cx, cy + 1) in cells else -1
-        maps = []
-        for (x1, y1), (x2, y2), (x3, y3) in itertools.permutations(pattern.cells, 3):
-            a, c, b, d = sx * (x2 - x1), sx * (y2 - y1), sy * (x3 - x1), sy * (y3 - y1)
-            if abs(a * d - b * c) == 1:
-                maps.append((a, b, c, d))
-    kept = {m for m in maps if _moved(pattern.cells, m) == pattern.cells}
-    return tuple(sorted(kept, key=lambda m: (m != _IDENTITY, m)))
-
-
 @functools.lru_cache(maxsize=16)
 def _shape_group(shape: Polyomino, pattern: Polyomino) -> tuple[tuple[int, ...], ...]:
     """The maps of :func:`_stabilizer` that also carry ``shape`` onto a
@@ -355,7 +297,7 @@ def _shape_group(shape: Polyomino, pattern: Polyomino) -> tuple[tuple[int, ...],
     index_of = {cell: i for i, cell in enumerate(shape.cells)}
     group = set()
     for m in _stabilizer(pattern)[1:]:
-        image = _image(shape.cells, m)
+        image = _to_origin(_map_cells(shape.cells, m))
         if tuple(sorted(image)) == shape.cells:
             group.add(tuple(map(index_of.__getitem__, image)))
     group.discard(tuple(range(len(shape.cells))))

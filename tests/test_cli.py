@@ -744,6 +744,27 @@ def test_transform_normalize_keeps_a_disconnected_image(capsys):
     assert json.loads(out) == {"cells": [{"x": 0, "y": 1}, {"x": 1, "y": 0}]}
 
 
+@pytest.mark.parametrize(
+    "cells, n, want",
+    [
+        # the L-tromino colored 3, 1, 2: each color stays on its cell's image
+        ([(0, 0, 3), (0, 1, 1), (1, 0, 2)], 4, [(0, 1, 1), (1, 0, 3), (2, 0, 2)]),
+        # a vertical domino off the origin; its image is disconnected
+        ([(7, -3, 2), (7, -2, 1)], 5, [(0, 1, 1), (1, 0, 2)]),
+    ],
+    ids=["ltromino", "disconnected-image"],
+)
+def test_transform_normalize_carries_colors(capsys, cells, n, want):
+    doc = {"n": n, "cells": [{"x": x, "y": y, "color": c} for x, y, c in cells]}
+    code, out, _ = invoke(
+        capsys, "transform", "--input", json.dumps(doc), "--map", "row-shift", "--normalize"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "n": n, "cells": [{"x": x, "y": y, "color": c} for x, y, c in want]
+    }
+
+
 def test_transform_unknown_map_exit_2(capsys):
     doc = json.dumps(to_json(LTROMINO))
     with pytest.raises(SystemExit):
@@ -794,6 +815,23 @@ def test_count_needs_order(capsys):
     code, _, err = invoke(capsys, "count", "cyclic", "-n", "2")
     assert code == 2
     assert "order" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "-n", "2", "-k", "2", "--all", "--acyclic"),
+        ("seq", "-n", "2", "-k", "2", "--start", "3"),
+        ("seq", "-n", "2", "-k", "2", "--all", "--start", "1"),
+        ("count", "cock", "-n", "3", "-k", "9"),
+        ("count", "cyclic", "-n", "2"),
+        ("count", "acyclic", "-n", "2"),
+    ],
+)
+def test_ignored_or_missing_options_exit_2(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_render_round_trip(capsys):

@@ -11,7 +11,6 @@ from prismatic import (
     ColoredPolyomino,
     Polyomino,
     apply_lattice_map,
-    has_pinch,
     instance_cells,
     instances_of,
     is_connected,
@@ -19,6 +18,7 @@ from prismatic import (
     pick_quantities,
     random_polyomino,
 )
+from prismatic import lattice
 from prismatic.lattice import (
     DisconnectedError,
     EmptySetError,
@@ -143,6 +143,22 @@ def test_colored_from_mapping_normalizes():
     assert cp.mapping() == {(0, 0): 1, (1, 0): 2}
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    random_shapes(),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+    st.integers(-40, -1),
+    st.integers(-40, 40),
+)
+def test_colored_from_mapping_undoes_shuffle_and_translate(p, n, rng, dx, dy):
+    colors = tuple(rng.randint(1, n) for _ in p.cells)
+    items = [((x + dx, y + dy), c) for (x, y), c in zip(p.cells, colors)]
+    rng.shuffle(items)
+    cp = ColoredPolyomino.from_mapping(dict(items), n)
+    assert (cp.shape, cp.n, cp.colors) == (p, n, colors)
+
+
 def _ring(ox, oy):
     return [(x + ox, y + oy) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
 
@@ -213,12 +229,6 @@ def test_pick_quantities_rejects_empty():
         pick_quantities([])
 
 
-def test_has_pinch():
-    assert not has_pinch(rectangle(3, 3).cells)
-    pinched = [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (2, 2), (1, 2)]
-    assert has_pinch(pinched)
-
-
 def test_pinched_shape_documented_behavior():
     # at a pinch the boundary revisits a point: the point count drops one
     # below the edge count per pinch, and the half-boundary identity is
@@ -257,7 +267,7 @@ def test_random_polyomino_contract(seed, size):
     p = random_polyomino(random.Random(seed), size)
     assert len(p) == size
     assert is_connected(p.cell_set)
-    assert not has_pinch(p.cells)
+    assert not any(lattice._corner_only(p.cell_set, x, y) for x, y in p.cells)
 
 
 def test_random_polyomino_deterministic_per_seed():
