@@ -97,12 +97,16 @@ def _cmd_seq(args) -> int:
         raise debruijn.SequenceError("--all enumerates cyclic sequences; drop --acyclic")
     if args.start is not None and not args.acyclic:
         raise debruijn.SequenceError("--start applies to --acyclic only")
+    if args.all and (args.method is not None or args.seed is not None):
+        raise debruijn.SequenceError("--all enumerates every sequence; drop --method and --seed")
+    if args.seed is not None and args.method != "eulerian":
+        raise debruijn.SequenceError("--seed applies to --method eulerian only")
     if args.all:
         for seq in debruijn.enumerate_all_cyclic(args.colors, args.order):
             print(json.dumps(seq.to_json()) if args.json else seq.text())
         return 0
     seq = debruijn.generate_cyclic(
-        args.colors, args.order, method=args.method, seed=args.seed
+        args.colors, args.order, method=args.method or "greedy-least", seed=args.seed or 0
     )
     if args.acyclic:
         seq = debruijn.acyclic_from_cyclic(seq, args.start or 0)
@@ -255,8 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", help="generate or enumerate de Bruijn sequences")
     p.add_argument("-n", "--colors", type=_int_arg, required=True)
     p.add_argument("-k", "--order", type=_int_arg, required=True)
-    p.add_argument("--method", choices=("greedy-least", "eulerian"), default="greedy-least")
-    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--method", choices=("greedy-least", "eulerian"), help="default greedy-least")
+    p.add_argument("--seed", type=_int_arg, help="for --method eulerian; default 0")
     p.add_argument("--acyclic", action="store_true", help="emit the acyclic form")
     p.add_argument("--start", type=_int_arg, help="cycle start for --acyclic")
     p.add_argument("--all", action="store_true", help="enumerate every cyclic sequence")

@@ -559,8 +559,8 @@ def shape_census(
     _need_colors(n)
     if size < 1 or min(bbox) < 1:
         raise SearchError("size and box sides must be positive")
-    # Each instance has its own anchor cell, so a shape holds at most
-    # ``size`` instances.
+    # By the counting bound of :func:`_least_size` a shape holds at most
+    # ``size`` instances; n**|pattern| may have millions of digits.
     if _surely_more_words(n, len(pattern.cells), size):
         return []
     target = n ** len(pattern.cells)
@@ -580,18 +580,14 @@ def shape_census(
     return [(shape, counts[shape.cells]) for shape in shapes if counts[shape.cells]]
 
 
-def _growth_box(
-    pattern: Polyomino, size: int, box: tuple[int, int], need: int
-) -> tuple[int, int] | None:
-    """The (W, H) box growth may use for shapes of ``size`` cells in
-    ``box`` with ``need`` instances, or ``None`` when no such shape fits.
+def _least_size(pattern: Polyomino, count: int) -> int:
+    """The fewest cells a shape needs to carry ``count`` instances of
+    ``pattern``; 1, which every shape meets, when ``count <= 0``.
 
-    A shape is at most ``size`` wide and high.  A pattern two or more
-    cells wide has two cells side by side, each instance puts the left
-    one on its own cell, never the last of a row, and a connected shape
-    has no empty row, so instances <= size - H (<= size - W for a pattern
-    two or more cells high).  The clamped box must still hold ``size``
-    cells and ``need`` translates of the pattern.
+    Counting bound: the instance whose anchor (its translate of
+    ``pattern.cells[0]``) comes last in cell order has its other
+    ``|pattern| - 1`` cells past every anchor, so ``count >= 1``
+    instances need ``count + |pattern| - 1`` cells.
 
     A pattern two or more cells wide and high allows at most ``size -
     m(size)`` instances, m(s) the least m with m(m + 1)/2 >= s (a
@@ -610,16 +606,38 @@ def _growth_box(
     they lie right of and above it, a shape cell playing j has shape
     cells right of and above it, so it lies outside R | T, and distinct
     instances have distinct such cells: instances <= s - m <= s - m(s),
-    as s <= m(m + 1)/2 gives m >= m(s).  Since s - m(s) never drops as
-    s grows, admission stays monotone in the size.
+    as s <= m(m + 1)/2 gives m >= m(s).
+
+    Inverted: s - m(s) climbs by 0 or 1 per cell, and s = count + j has
+    s - m(s) >= count, or count + j <= j(j + 1)/2, exactly when
+    j(j - 1)/2 >= count, that is from j = m(count) + 1 on.
+    """
+    if count <= 0:
+        return 1
+    # m(s) = (isqrt(8s) + 1) // 2: m(m + 1)/2 >= s means (2m + 1)**2 > 8s.
+    stair = (math.isqrt(8 * count) + 1) // 2 + 1 if min(pattern.width, pattern.height) > 1 else 0
+    return count + max(len(pattern.cells) - 1, stair)
+
+
+def _growth_box(
+    pattern: Polyomino, size: int, box: tuple[int, int], need: int
+) -> tuple[int, int] | None:
+    """The (W, H) box growth may use for shapes of ``size`` cells in
+    ``box`` with ``need`` instances, or ``None`` when no such shape fits.
+
+    A shape is at most ``size`` wide and high.  A pattern two or more
+    cells wide has two cells side by side, each instance puts the left
+    one on its own cell, never the last of a row, and a connected shape
+    has no empty row, so instances <= size - H (<= size - W for a pattern
+    two or more cells high).  The clamped box must still hold ``size``
+    cells and ``need`` translates, and :func:`_least_size` bounds ``size``.
     """
     width = min(box[0], size - need if pattern.height > 1 else size)
     height = min(box[1], size - need if pattern.width > 1 else size)
     translates = max(0, width - pattern.width + 1) * max(0, height - pattern.height + 1)
     if min(width, height) < 1 or size > width * height or translates < need:
         return None
-    # m(s) = (isqrt(8s) + 1) // 2: m(m + 1)/2 >= s means (2m + 1)**2 > 8s.
-    if min(pattern.width, pattern.height) > 1 and need > size - (math.isqrt(8 * size) + 1) // 2:
+    if size < _least_size(pattern, need):
         return None
     return width, height
 
@@ -856,33 +874,15 @@ def min_size_with_instances(
     """Smallest cell count of a connected shape with >= ``count`` instances.
 
     Returns that size together with every witness shape of that size.
-    Sizes are tried in increasing order up to ``size_cap``, from the
-    counting bound: the instance whose anchor (its translate of
-    ``pattern.cells[0]``) comes last in cell order has its other
-    ``|pattern| - 1`` cells past every anchor, so ``count`` instances
-    need ``count + |pattern| - 1`` cells.  The walk starts at the first
-    of those sizes :func:`_growth_box` admits, found by bisection.  Raises
-    :class:`NoWitnessError` when the cap is reached without a witness.
-    One node budget covers every size.
+    Sizes are tried in increasing order from :func:`_least_size` up to
+    ``size_cap``.  Raises :class:`NoWitnessError` when the cap is reached
+    without a witness.  One node budget covers every size.
     """
     node_limit = _node_limit(node_limit)
     if count < 1:
         raise SearchError("need count >= 1")
-    # Admission is monotone in the size s: the clamped sides and the
-    # translates only grow with s, and the room left for s cells, W*H - s,
-    # is s*s - s, s*(s - count) - s or (s - count)**2 - s, each increasing
-    # once the sides are positive (s > count), and the staircase room
-    # s - m(s) never drops, as m(s + 1) <= m(s) + 1.  The bisection runs
-    # on plain ints: a range past sys.maxsize entries has no len().
-    lo, hi = count + len(pattern.cells) - 1, size_cap + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _growth_box(pattern, mid, (mid, mid), count) is None:
-            lo = mid + 1
-        else:
-            hi = mid
     spent = 0
-    for cap in range(lo, size_cap + 1):
+    for cap in range(_least_size(pattern, count), size_cap + 1):
         try:
             witnesses, nodes = _redelmeier_witnesses(
                 pattern, cap, (cap, cap), count, len(pattern.cells) * cap, node_limit - spent

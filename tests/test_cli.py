@@ -76,6 +76,14 @@ def test_seq_eulerian(capsys):
     assert out == out2
 
 
+def test_seq_eulerian_seed_defaults_to_zero(capsys):
+    code, out, err = invoke(capsys, "seq", "-n", "2", "-k", "3", "--method", "eulerian")
+    assert (code, out, err) == (0, "(2,2,2,1,2,1,1,1)\n", "")
+    assert invoke(capsys, "seq", "-n", "2", "-k", "3", "--method", "eulerian", "--seed", "0") == (
+        code, out, err
+    )
+
+
 def test_cock_ascii_golden(capsys):
     code, out, _ = invoke(capsys, "cock", "--params", PARAMS3, "--ascii")
     assert code == 0
@@ -349,8 +357,8 @@ def test_integer_options_take_ascii_digits_only(capsys, argv, bad):
 
 
 def test_integer_options_keep_the_sign_and_every_digit(capsys):
-    code, out, err = invoke(capsys, "seq", "-n", "2", "-k", "3", "--seed", "-1")
-    assert (code, out, err) == (0, "(1,1,1,2,1,2,2,2)\n", "")
+    code, out, err = invoke(capsys, "seq", "-n", "2", "-k", "3", "--method", "eulerian", "--seed", "-1")
+    assert (code, out, err) == (0, "(1,2,1,2,2,2,1,1)\n", "")
     code, out, err = invoke(capsys, "count", "cyclic", "-n", "-1", "-k", "2")
     assert (code, out) == (2, "") and err.startswith("error: ")
     code, out, _ = invoke(capsys, "min-size", "--pattern", "square", "--instances", "04", "--cap", "0010")
@@ -823,6 +831,11 @@ def test_count_needs_order(capsys):
         ("seq", "-n", "2", "-k", "2", "--all", "--acyclic"),
         ("seq", "-n", "2", "-k", "2", "--start", "3"),
         ("seq", "-n", "2", "-k", "2", "--all", "--start", "1"),
+        ("seq", "-n", "2", "-k", "3", "--seed", "9"),
+        ("seq", "-n", "2", "-k", "3", "--method", "greedy-least", "--seed", "0"),
+        ("seq", "-n", "2", "-k", "3", "--all", "--method", "eulerian"),
+        ("seq", "-n", "2", "-k", "3", "--all", "--method", "greedy-least"),
+        ("seq", "-n", "2", "-k", "3", "--all", "--seed", "4"),
         ("count", "cock", "-n", "3", "-k", "9"),
         ("count", "cyclic", "-n", "2"),
         ("count", "acyclic", "-n", "2"),

@@ -35,6 +35,7 @@ from prismatic.search import (
     SearchError,
     _cell_table,
     _growth_box,
+    _least_size,
     _node_limit,
     _redelmeier_witnesses,
     _run_search,
@@ -828,12 +829,13 @@ def _grown(size):
         (_min_size(LTROMINO, 8, 13), 1_809),
         (_min_size(LTROMINO, 9, 16), 1_814),
         (_min_size(SQUARE, 4, 10), 520),
+        (_min_size(TEE, 3, 10), 557),
         (_min_size(TEE, 4, 10), 558),
         (_min_size(_turned(TRANSPOSE, TEE), 4, 10), 668),
         (_grown(13), 1_809),
         (_grown(14), 10_890),
     ],
-    ids=["ltromino-8", "ltromino-9", "square-4", "tee-4", "tee-4-transposed", "census-13", "census-14"],
+    ids=["ltromino-8", "ltromino-9", "square-4", "tee-3", "tee-4", "tee-4-transposed", "census-13", "census-14"],
 )
 def test_growth_cells_are_pinned(query, cells):
     # Grown cells with the clamp alone: 180,561, 314,505, 13,057, 12,856
@@ -865,6 +867,35 @@ def test_row_ends_and_column_tops_bound_any_cell_set(cells, flip):
     tops = {max(c for c in moved if c[0] == x) for x, _ in moved}
     m = len(ends | tops)
     assert len(cells) <= m * (m + 1) // 2
+
+
+def test_least_size_is_the_first_size_both_bounds_admit():
+    # A walk one size at a time: the least s >= count + k - 1, and for a
+    # pattern two or more cells wide and high with s - m(s) >= count.
+    # The least size only grows with count, so one walk serves them all.
+    for pattern in BOUND_PATTERNS + [_turned(TRANSPOSE, p) for p in BOUND_PATTERNS]:
+        s = 0
+        for count in range(1, 2001):
+            s = max(s, count + len(pattern) - 1)
+            while min(pattern.width, pattern.height) > 1 and s - _staircase(s) < count:
+                s += 1
+            assert _least_size(pattern, count) == s
+        # Past any walk: s is the least size exactly when s - m(s) = count
+        # and m(s - 1) = m(s), m = s - count read off the staircase.
+        count = 10**20
+        s = _least_size(pattern, count)
+        if min(pattern.width, pattern.height) > 1:
+            m = s - count
+            assert (m - 1) * m // 2 < s - 1 < s <= m * (m + 1) // 2
+        else:
+            assert s == count + len(pattern) - 1
+        # No instances: every shape, down to one cell, carries none.
+        assert _least_size(pattern, 0) <= 1
+
+
+def test_least_size_of_the_ltromino_powers():
+    assert [_least_size(LTROMINO, n**3) for n in range(2, 7)] == [13, 35, 76, 142, 238]
+    assert _growth_box(straight(3), 1, (1, 1), 0) == (1, 1)
 
 
 STAIRCASE_PATTERNS = [p for p in BOUND_PATTERNS if min(p.width, p.height) > 1]
