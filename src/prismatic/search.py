@@ -33,9 +33,11 @@ Every cut removes only words that are not the least of their orbit, so
 the least de Bruijn word of a shape is still the first one found.
 
 Candidate shapes, for the census and for minimal-size witnesses, come
-from one rooted polyomino growth, :func:`_redelmeier_witnesses`; the
-census searches one shape per orbit of the pattern's maps.  Every search
-runs whole in the calling process, one shape at a time.
+from one rooted polyomino growth, :func:`_redelmeier_witnesses`, but for
+the L-tromino's minimal-size witnesses, which are built in closed form
+(:func:`_ltromino_witnesses`); the census searches one shape per orbit
+of the pattern's maps.  Every search runs whole in the calling process,
+one shape at a time.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from typing import Iterable
 
 from .lattice import (
     _IDENTITY,
+    _ISOMETRIES,
     ColoredPolyomino,
     Polyomino,
     Vec,
@@ -63,6 +66,7 @@ from .lattice import (
     instance_cells,
     normalize,
 )
+from .shapes import LTROMINO
 
 
 def __getattr__(name: str):
@@ -619,6 +623,106 @@ def _least_size(pattern: Polyomino, count: int) -> int:
     return count + max(len(pattern.cells) - 1, stair)
 
 
+def _partitions(n: int, most: int) -> Iterable[tuple[int, ...]]:
+    """The partitions of ``n`` into parts of at most ``most``, largest
+    part first."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, most), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def _ltromino_witnesses(
+    size: int, turn: tuple[int, int, int, int], node_limit: int
+) -> list[Polyomino]:
+    """Every shape of ``size = _least_size(p, count)`` cells with
+    ``count`` instances of p, the image of the L-tromino under ``turn``,
+    sorted by cells.  With m = m(size) and T_m = m(m + 1)/2, they are the
+    staircase T_m = {(x, y): x, y >= 0, x + y <= m - 1} less D(lam) |
+    g_B(D(mu)) | g_C(D(nu)), one for each triple of partitions with |lam|
+    + |mu| + |nu| = j = T_m - size: D(lam) = {(x, y): x < lam_y}, g_B(x,
+    y) = (m - 1 - x - y, y) and g_C(x, y) = (x, m - 1 - x - y).  The
+    linear parts of g_B and g_C fix the L-tromino; with the transpose
+    they permute T_m's corners and sides and carry bites to bites.
+
+    Every witness S is extremal, and j <= m - 2: s = size has s - m(s) =
+    count (see :func:`_least_size`), the most s cells allow, and s - m(s)
+    is the same at T_{m-1} + 1 as at T_{m-1}, so s >= T_{m-1} + 2.
+
+    S lies in a translate of T_m.  An instance is its corner cell, which
+    has a right and an upper neighbour; so with R | T as in
+    :func:`_least_size`, S holds s - |R | T| instances less one per other
+    cell that lacks either, and |R | T| <= m.  Let (x1, y1) in S have x1 +
+    y1 largest, and x0, y0 be S's least x and y.  The rows y0..y1 have an
+    end each and the columns x0..x1 a top, and only (x1, y1) is both:
+    another such cell lies below and left of it, and the empty rays right
+    of and above that cell would cut it off.  So m >= x1 + y1 - x0 - y0 +
+    1.
+
+    X = T_m - S is bites.  |X| = j, and S holds s - m = T_{m-1} - j of
+    T_m's T_{m-1} instances: X spoils j.  Any X of at most m - 1 cells
+    spoils at least |X|, by the staircase bound; by induction on m, one
+    of at most m - 2 cells that spoils just |X| is bites.  Were X
+    nonempty and off the bottom row and the hypotenuse, it would spoil
+    the instance at each of its cells less (0, 1), and the one at its top
+    cell too; so a map puts a cell of X on row 0.  The m - 1 instances at
+    row 0's cells then lose at least |X_0| through their row 0 cells, X_0
+    = X on row 0, and just |X_0| only if X_0 is a prefix of p cells and a
+    suffix of q, p + q <= m - 2.  The rows above, a T_{m-1}, lose at least
+    |X - X_0| <= m - 3, and just that only if X - X_0 is bites (lam', mu',
+    nu') of it.  Nothing more is spoiled only if no instance with both row
+    0 cells kept has its top in X: lam'_0 <= p and mu'_0 <= q, so lam =
+    (p, lam'), mu = (q, mu') and nu = nu'.
+
+    Conversely, with at most m - 1 cells in all, no instance holds cells
+    of two bites, and D(lam), closed leftward and downward, spoils just
+    the instances at its own cells, as does each bite by symmetry.  So
+    each triple gives an extremal set, and each nonempty bite is the part
+    of X linked to its corner through shared instances: distinct triples
+    give distinct sets.  An extremal set of T_{m-1} + 2 cells or more is
+    connected: parts with m(s1) = m1 and m(s2) = m2 need m1 + m2 <= m, and
+    T_{m-1} < s <= T_{m1} + T_{m2} = T_{m1+m2} - m1 m2 leaves only a
+    one-cell part, at s = T_{m-1} + 1.
+
+    p3(i), the number of triples with |lam| + |mu| + |nu| = i, is the
+    coefficient of x**i in prod (1 - x**k)**-3: i p3(i) = 3 sum sigma(k)
+    p3(i - k).  The shapes cost p3(j) * size of ``node_limit``, which is
+    checked before any is built.
+    """
+    m = (math.isqrt(8 * size) + 1) // 2
+    j = m * (m + 1) // 2 - size
+    p3, sigma = [1], [0]
+    while len(p3) <= j and p3[-1] * size <= node_limit:
+        i = len(p3)
+        sigma.append(sum(d for d in range(1, i + 1) if i % d == 0))
+        p3.append(3 * sum(sigma[k] * p3[i - k] for k in range(1, i + 1)) // i)
+    if p3[-1] * size > node_limit:
+        raise BudgetExceededError(
+            f"shape enumeration exceeded the {node_limit} node budget at size {size}"
+        )
+    stair = [(x, y) for y in range(m) for x in range(m - y)]
+    corners = (
+        lambda x, y: (x, y),
+        lambda x, y: (m - 1 - x - y, y),
+        lambda x, y: (x, m - 1 - x - y),
+    )
+    shapes = []
+    for a in range(j + 1):
+        for b in range(j - a + 1):
+            c = j - a - b
+            for bites in itertools.product(_partitions(a, a), _partitions(b, b), _partitions(c, c)):
+                gone = {
+                    g(x, y)
+                    for g, lam in zip(corners, bites)
+                    for y, row in enumerate(lam)
+                    for x in range(row)
+                }
+                shapes.append(Polyomino(_moved([cell for cell in stair if cell not in gone], turn)))
+    shapes.sort(key=lambda s: s.cells)
+    return shapes
+
+
 def _growth_box(
     pattern: Polyomino, size: int, box: tuple[int, int], need: int
 ) -> tuple[int, int] | None:
@@ -873,16 +977,23 @@ def min_size_with_instances(
 ) -> tuple[int, list[Polyomino]]:
     """Smallest cell count of a connected shape with >= ``count`` instances.
 
-    Returns that size together with every witness shape of that size.
-    Sizes are tried in increasing order from :func:`_least_size` up to
-    ``size_cap``.  Raises :class:`NoWitnessError` when the cap is reached
-    without a witness.  One node budget covers every size.
+    Returns that size together with every witness shape of that size,
+    sorted by cells.  For the L-tromino and its rotations the first size
+    :func:`_least_size` gives always has witnesses, built in closed form
+    by :func:`_ltromino_witnesses`.  Any other pattern grows the sizes in
+    increasing order from there up to ``size_cap``.  Raises
+    :class:`NoWitnessError` when the cap is reached without a witness.
+    One node budget covers every size.
     """
     node_limit = _node_limit(node_limit)
     if count < 1:
         raise SearchError("need count >= 1")
+    start = _least_size(pattern, count)
+    turn = next((g for g in _ISOMETRIES if _moved(LTROMINO.cells, g) == pattern.cells), None)
+    if turn is not None and start <= size_cap:
+        return start, _ltromino_witnesses(start, turn, node_limit)
     spent = 0
-    for cap in range(_least_size(pattern, count), size_cap + 1):
+    for cap in range(start, size_cap + 1):
         try:
             witnesses, nodes = _redelmeier_witnesses(
                 pattern, cap, (cap, cap), count, len(pattern.cells) * cap, node_limit - spent

@@ -485,12 +485,26 @@ def test_min_size_growth_node_regression(capsys, monkeypatch):
 
 
 def test_min_size_budget_names_the_budget_and_size(capsys, monkeypatch):
-    # The budget runs out at 13 cells, the first size the staircase bound
-    # admits; the message gives the budget as set.
-    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "1000")
-    code, out, err = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "8", "--cap", "13")
+    # The budget runs out at 9 cells, the tee's answer, after size 8, the
+    # first the staircase bound admits; the message gives the budget as set.
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "300")
+    code, out, err = invoke(capsys, "min-size", "--pattern", "tee", "--instances", "4", "--cap", "10")
     assert (code, out) == (3, "")
-    assert err == "budget exceeded: shape enumeration exceeded the 1000 node budget at size 13\n"
+    assert err == "budget exceeded: shape enumeration exceeded the 300 node budget at size 9\n"
+
+
+def test_min_size_builds_the_ltromino_witnesses_without_growth(capsys):
+    # Growth ran out of the default budget after 372 s at 76 cells.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "64", "--cap", "76")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["size"], len(doc["witnesses"])) == (76, 9)
+    code, out, err = invoke(capsys, "min-size", "--pattern", "ltromino", "--instances", "125", "--cap", "142")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["size"], len(doc["witnesses"])) == (142, 4_599)
 
 
 def test_min_size_skips_the_sizes_no_box_admits():
@@ -590,6 +604,17 @@ def test_searches_past_the_recursion_limit_exit_2_with_one_line(argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "recursion limit" in proc.stderr
+
+
+@pytest.mark.parametrize("count", [1_000_000, 1000])
+def test_runaway_ltromino_counts_exit_3_at_once(count):
+    # The witnesses' number is counted before any is built: p3(405) and
+    # p3(35) shapes of 1,001,415 and 1,046 cells pass the budget.
+    start = time.perf_counter()
+    proc = run_capped("min-size", "--pattern", "ltromino", "--instances", str(count), "--cap", str(2 * count))
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("budget exceeded: ") and proc.stderr.count("\n") == 1
 
 
 def test_running_out_of_memory_exits_3_with_one_line():

@@ -27,6 +27,7 @@ from prismatic import (
     transport_coloring,
 )
 from prismatic.cli import run
+from prismatic.lattice import _moved
 from prismatic.search import (
     DEFAULT_NODE_LIMIT,
     MISSING_SHOWN,
@@ -823,11 +824,19 @@ def _grown(size):
     return lambda limit: _redelmeier_witnesses(LTROMINO, size, (5, 5), 8, 8, limit)
 
 
+def _grown_at_first_size(pattern, count, size):
+    # Growth at min-size's first size: for the L-tromino, the search
+    # that the closed form stands in for.
+    return lambda limit: _redelmeier_witnesses(
+        pattern, size, (size, size), count, len(pattern) * size, limit
+    )
+
+
 @pytest.mark.parametrize(
     "query, cells",
     [
-        (_min_size(LTROMINO, 8, 13), 1_809),
-        (_min_size(LTROMINO, 9, 16), 1_814),
+        (_grown_at_first_size(LTROMINO, 8, 13), 1_809),
+        (_grown_at_first_size(LTROMINO, 9, 14), 1_814),
         (_min_size(SQUARE, 4, 10), 520),
         (_min_size(TEE, 3, 10), 557),
         (_min_size(TEE, 4, 10), 558),
@@ -934,3 +943,54 @@ def test_ltromino_four_colors_need_exactly_76_cells():
     words, nodes, _ = _run_search(shape, LTROMINO, 4, DEFAULT_NODE_LIMIT, solution_cap=1)
     assert nodes == 78_368
     assert is_debruijn_coloring(ColoredPolyomino(shape, 4, words[0]), LTROMINO)
+
+
+LTROMINO_TURNS = sorted({_turned(g, LTROMINO).cells for g in SYMMETRIES})
+
+
+@pytest.mark.parametrize("cells", LTROMINO_TURNS, ids=lambda cs: "-".join(f"{x}{y}" for x, y in cs))
+def test_ltromino_closed_form_matches_growth(cells):
+    # Every count whose first size is at most 28 cells, and 27 at 35.
+    pattern = normalize(cells)
+    counts = [count for count in range(1, 29) if _least_size(pattern, count) <= 28] + [27]
+    for count in counts:
+        size = _least_size(pattern, count)
+        grown, _ = _grown_at_first_size(pattern, count, size)(DEFAULT_NODE_LIMIT)
+        assert min_size_with_instances(pattern, count, size) == (size, grown)
+
+
+def test_ltromino_extremal_polyominoes_are_the_closed_form():
+    # Over every fixed polyomino of s <= 9 cells, grown with no cut, the
+    # shapes with s - m(s) instances, wherever T_m - s <= m - 2.
+    for s in (3, 5, 6, 8, 9):
+        m = _staircase(s)
+        assert m * (m + 1) // 2 - s <= m - 2
+        fixed, _ = _redelmeier_witnesses(straight(1), s, (s, s), 0, s, DEFAULT_NODE_LIMIT)
+        extremal = [shape for shape in fixed if len(instances_of(LTROMINO, shape)) == s - m]
+        assert min_size_with_instances(LTROMINO, s - m, s) == (s, extremal)
+
+
+def test_ltromino_witnesses_count_partition_triples():
+    # T_m - j cells with j = m - 2: p3(j), the coefficient of x**j in
+    # prod (1 - x**k)**-3 (OEIS A000716).
+    for j, count in enumerate([1, 3, 9, 22, 51, 108, 221]):
+        m = j + 2
+        size = m * (m + 1) // 2 - j
+        found, shapes = min_size_with_instances(LTROMINO, size - m, size)
+        assert (found, len(shapes)) == (size, count)
+
+
+def test_every_ltromino_four_color_witness_colors():
+    # The 9 shapes of 76 cells fall into 2 orbits of the L-tromino's
+    # maps, which carry colorings to colorings; one shape per orbit colors.
+    _, shapes = min_size_with_instances(LTROMINO, 64, 76)
+    cells = {shape.cells for shape in shapes}
+    orbits = {frozenset(_moved(c, g) for g in _stabilizer(LTROMINO)) for c in cells}
+    assert set().union(*orbits) == cells and len(orbits) == 2
+    nodes = []
+    for orbit in orbits:
+        shape = normalize(min(orbit))
+        words, spent, _ = _run_search(shape, LTROMINO, 4, DEFAULT_NODE_LIMIT, solution_cap=1)
+        assert is_debruijn_coloring(ColoredPolyomino(shape, 4, words[0]), LTROMINO)
+        nodes.append(spent)
+    assert sorted(nodes) == [17_205, 78_368]
