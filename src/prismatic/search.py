@@ -42,7 +42,6 @@ one shape at a time.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -66,7 +65,7 @@ from .lattice import (
     instance_cells,
     normalize,
 )
-from .shapes import LTROMINO
+from .shapes import LTROMINO, pyramid
 
 
 def __getattr__(name: str):
@@ -688,7 +687,8 @@ def _ltromino_witnesses(
     p3(i), the number of triples with |lam| + |mu| + |nu| = i, is the
     coefficient of x**i in prod (1 - x**k)**-3: i p3(i) = 3 sum sigma(k)
     p3(i - k).  The shapes cost p3(j) * size of ``node_limit``, which is
-    checked before any is built.
+    checked before any is built; :func:`shapes.pyramid` then refuses a
+    staircase past the shape cell limit before building it.
     """
     m = (math.isqrt(8 * size) + 1) // 2
     j = m * (m + 1) // 2 - size
@@ -701,7 +701,7 @@ def _ltromino_witnesses(
         raise BudgetExceededError(
             f"shape enumeration exceeded the {node_limit} node budget at size {size}"
         )
-    stair = [(x, y) for y in range(m) for x in range(m - y)]
+    stair = pyramid(m).cells
     corners = (
         lambda x, y: (x, y),
         lambda x, y: (m - 1 - x - y, y),
@@ -814,32 +814,29 @@ def _redelmeier_witnesses(
     gain = len(pattern.cells)
     x0 = width - 1
     span = 2 * width - 1
-    # The growth region is ``height`` rows of ``span`` cells, less the
-    # cells left of the root (x0, 0); each row is followed by
-    # ``pattern.width`` blocked cells so that no step or instance wraps.
+    # Every cell set is an int with bit i for cell i = x + stride * y.  The
+    # growth region is ``height`` rows of ``span`` cells, less the cells
+    # left of the root (x0, 0); each row is followed by ``pattern.width``
+    # blocked cells so that no step or instance wraps.
     stride = span + pattern.width
     total = stride * height
-    allowed = bytearray(total)
-    for y in range(height):
-        allowed[stride * y : stride * y + span] = b"\x01" * span
-    allowed[:x0] = bytes(x0)
-    cols = [i % stride for i in range(total)]
-    # Growth pops the highest untried cell; neighbours are listed in
-    # increasing order so that the fresh ones join ``untried`` sorted.
-    neighbors = [
-        tuple(j for j in (i - stride, i - 1, i + 1, i + stride) if 0 <= j < total and allowed[j])
-        for i in range(total)
-    ]
-    # completes[c]: a mask of the other cells of each instance c completes.
-    completes: list[list[int]] = [[] for _ in range(total)]
+    rows = sum(1 << stride * y for y in range(height))
+    region = ((1 << span) - 1) * rows & ~((1 << x0) - 1)
+    # ``around << c >> stride``: the cells c - stride, c - 1, c + 1 and
+    # c + stride.
+    around = 1 | 5 << stride - 1 | 1 << 2 * stride
+    # completes[c]: an (anchor, rest) pair for each instance c completes,
+    # with bit i of ``rest`` its cell anchor + i other than c.
     offsets = [px + stride * py for px, py in pattern.cells]
     pad = max(offsets)
-    for v in range(total - pad):
-        cells = [v + off for off in offsets]
-        if all(map(allowed.__getitem__, cells)):
-            mask = sum(1 << c for c in cells)
-            for c in cells:
-                completes[c].append(mask & ~(1 << c))
+    whole = sum(1 << off for off in offsets)
+    rests = [(off, whole ^ 1 << off) for off in offsets]
+    completes: list[list[tuple[int, int]]] = [[] for _ in range(total)]
+    anchors = functools.reduce(operator.and_, (region >> off for off in offsets))
+    for v, b in enumerate(bin(anchors)[:1:-1]):
+        if b == "1":
+            for off, rest in rests:
+                completes[v + off].append((v, rest))
 
     # Banned cells are kept as the anchors they spoil: bit v + pad of
     # ``bad`` marks the anchor v, from -pad up, whose pattern translate
@@ -860,16 +857,15 @@ def _redelmeier_witnesses(
         spread = sum(1 << s for s in shifts)
         column = functools.reduce(operator.or_, (spread << (stride * y) for y in range(height)))
         # Bit i + pad: cell i, from -pad up, lies outside the region.
-        walls = "".join("0" if a else "1" for a in reversed(allowed))
-        outside = int("1" * pad + walls + "1" * pad, 2)
+        outside = ~(region << pad) & (1 << total + 2 * pad) - 1
         bad = functools.reduce(operator.or_, (outside >> off for off in offsets))
 
-    reached = bytearray(total)
     found: list[int] = []
     nodes = 0
 
     def grow(
-        untried: list[int],
+        untried: int,
+        reached: int,
         sofar: int,
         inst: int,
         lo: int,
@@ -886,13 +882,15 @@ def _redelmeier_witnesses(
         # the row ends: none while no more cells are occupied than ``slack``.
         bare, ended = (plain, rowed) if sofar + 1 > slack else ((), ())
         while untried:
-            c = untried.pop()
+            # Pop the highest untried cell.
+            c = untried.bit_length() - 1
+            untried ^= 1 << c
             nodes += 1
             if nodes > node_limit:
                 raise BudgetExceededError(
                     f"shape enumeration exceeded the {node_limit} node budget"
                 )
-            x = cols[c]
+            x = c % stride
             left = x if x < lo else lo
             right = x if x > hi else hi
             # A cell this far out lies in a column banned already.
@@ -920,31 +918,25 @@ def _redelmeier_witnesses(
                         break
                 else:
                     newinst = inst
-                    for m in completes[c]:
-                        if occ & m == m:
+                    for v, rest in completes[c]:
+                        if occ >> v & rest == rest:
                             newinst += 1
                     if not floor <= newinst <= most:
                         continue
                     if last:
                         found.append(taken)
                         continue
+                    fresh = around << c >> stride & region & ~reached
                     # A cell the span has put out of reach is banned
-                    # already, and the span only widens below here.
-                    fresh = []
-                    for nb in neighbors[c]:
-                        if not reached[nb] and right - width < cols[nb] < left + width:
-                            reached[nb] = 1
-                            fresh.append(nb)
-                    later = untried + fresh
-                    # c was the largest untried cell, so a fresh c - 1, c + 1
-                    # or c + stride passes every cell left; only c - stride
-                    # may sort lower.
-                    if fresh and fresh[0] < c - 1:
-                        del later[len(untried)]
-                        bisect.insort(later, fresh[0])
-                    grow(later, sofar + 1, newinst, left, right, taken, kept, tends)
-                    for nb in fresh:
-                        reached[nb] = 0
+                    # already, and the span only widens below here.  Only
+                    # c - 1 and c + 1 leave c's column, and only a span
+                    # already W wide puts them out of reach.
+                    if right - left == x0:
+                        if x == right:
+                            fresh &= ~(2 << c)
+                        if x == left:
+                            fresh &= ~(1 << c >> 1)
+                    grow(untried | fresh, reached | fresh, sofar + 1, newinst, left, right, taken, kept, tends)
                     continue
             # c failed the dead-cell test.  Every later sibling keeps a
             # superset of ``bad`` and takes a superset of ``occ``: once
@@ -956,9 +948,8 @@ def _redelmeier_witnesses(
                 if (bad >> r & occ | ends).bit_count() > slack:
                     return
 
-    reached[x0] = 1
     try:
-        grow([x0], 0, 0, x0, x0, 0, bad, 0)
+        grow(1 << x0, 1 << x0, 0, 0, x0, x0, 0, bad, 0)
     except RecursionError:
         raise _too_deep("shape growth", size) from None
 

@@ -521,7 +521,7 @@ def test_min_size_skips_the_sizes_no_box_admits():
     assert proc.stderr == "error: no shape of size <= 100000000 holds 100000000 instances\n"
 
 
-def test_min_size_bisects_to_the_first_admitted_size():
+def test_min_size_starts_at_the_first_admitted_size():
     # 10**12 square instances: the first size the staircase bound admits,
     # s = 10**12 + m with m = 1,414,215 the least m(m + 1)/2 >= s, lies
     # about 1.4 * 10**6 sizes past the counting bound; a walk over them
@@ -556,8 +556,8 @@ def test_searches_skip_a_power_past_the_shapes_cells(capsys, argv):
 
 
 def test_min_size_answers_under_a_cap_past_sys_maxsize(capsys):
-    # The start is bisected over plain ints: a range of more than
-    # sys.maxsize sizes has no len().
+    # The sizes are walked as a range of more than sys.maxsize ints,
+    # which is iterated and never asked for its len().
     code, out, err = invoke(
         capsys, "min-size", "--pattern", "square", "--instances", "4", "--cap", str(10**20)
     )
@@ -615,6 +615,29 @@ def test_runaway_ltromino_counts_exit_3_at_once(count):
     assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("budget exceeded: ") and proc.stderr.count("\n") == 1
+
+
+def test_ltromino_staircase_past_the_cell_limit_exits_2_at_once():
+    # 50,005,000 instances pass the budget as one staircase of 50,015,001
+    # cells (p3(0) = 1), past the shape cell limit: it is refused before
+    # it is built, and so never outgrows the cap.
+    argv = ("min-size", "--pattern", "ltromino", "--instances", "50005000", "--cap", "60000000")
+    start = time.perf_counter()
+    proc = run_capped(*argv, address_space=400 * 1024 * 1024)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_wide_census_growth_tables_fit_300_mb(monkeypatch):
+    # The instance table holds an (anchor, rest) pair per pattern cell of
+    # each region cell, not a mask as wide as the 80,200-cell region, so
+    # this growth reaches its node budget well inside the cap.
+    monkeypatch.setenv("PRISMATIC_NODE_LIMIT", "20000")
+    argv = ("shape-census", "--pattern", "ltromino", "--colors", "2", "--size", "200", "--bbox", "200x200")
+    proc = run_capped(*argv, address_space=300 * 1024 * 1024)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "budget exceeded: shape enumeration exceeded the 20000 node budget\n"
 
 
 def test_running_out_of_memory_exits_3_with_one_line():

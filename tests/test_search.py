@@ -868,7 +868,7 @@ def _staircase(s):
     st.sampled_from([(1, 1), (-1, 1), (1, -1), (-1, -1)]),
 )
 def test_row_ends_and_column_tops_bound_any_cell_set(cells, flip):
-    # The staircase lemma of _growth_box holds for any cell set, holes and
+    # The staircase lemma of _least_size holds for any cell set, holes and
     # gaps included, whichever ends of the rows and columns are taken.
     sx, sy = flip
     moved = {(sx * x, sy * y) for x, y in cells}
