@@ -32,11 +32,17 @@ def _read_doc(spec: str) -> dict:
 
 
 def _pattern_arg(spec: str) -> lattice.Polyomino:
+    """A built-in pattern by name, or JSON cells; a spec that names
+    neither a pattern nor a file is reported as an unknown pattern."""
     try:
         return shapes.pattern_from_name(spec)
-    except shapes.UnknownPatternError:
-        pass
-    cells, _ = formats.parse_json(_read_doc(spec))
+    except shapes.UnknownPatternError as exc:
+        unknown = exc
+    try:
+        doc = _read_doc(spec)
+    except FileNotFoundError:
+        raise unknown from None
+    cells, _ = formats.parse_json(doc)
     if isinstance(cells, dict):
         cells = frozenset(cells)
     return lattice.normalize(cells)
@@ -53,7 +59,7 @@ def _shape_arg(spec: str) -> lattice.Polyomino:
         return shapes.pyramid(shapes._spec_int(tail))
     try:
         return _pattern_arg(spec)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, json.JSONDecodeError, shapes.UnknownPatternError):
         raise shapes.ShapeError(f"cannot read shape {spec!r}") from None
 
 

@@ -614,12 +614,63 @@ def _least_size(pattern: Polyomino, count: int) -> int:
     Inverted: s - m(s) climbs by 0 or 1 per cell, and s = count + j has
     s - m(s) >= count, or count + j <= j(j + 1)/2, exactly when
     j(j - 1)/2 >= count, that is from j = m(count) + 1 on.
+
+    A pattern with a 2x2 block (:func:`_has_block`) allows at most ``s +
+    1 - ceil(2 sqrt(s))`` instances in a connected shape of s cells.
+    Take the shape's cells as vertices and its side-sharing pairs, E of
+    them, as edges of a plane graph.  Each 2x2 block of the shape bounds
+    a face of its own, so Euler's formula for one component, s - E +
+    faces = 1, gives blocks <= 1 + E - s; with P the perimeter, 4s = P +
+    2E, so blocks <= s + 1 - P/2 (``B/2 = A + 1 - I - H`` of
+    :func:`lattice.pick_quantities`, I the blocks, less its holes).  Each
+    of the W columns and H rows of the bounding box meets the shape, and
+    so holds two perimeter sides: P/2 >= W + H >= 2 sqrt(W H) >= 2
+    sqrt(s).  The pattern's instances hold distinct translates of its
+    block.
+
+    A pattern with a cell j that has three pattern neighbours
+    (:func:`_has_branch`) allows as many in any cell set S of s cells.
+    Turn S with it so that they lie left of, right of and above j, and
+    let U be the union of S's row starts, row ends and column tops, u =
+    |U|.  No cell playing j lies in U, so instances <= s - u.  A cell of
+    row i outside U lies strictly inside its row and under the top of
+    its column, which lies in a higher row; so row i holds at most as
+    many such cells as there are column tops above it, and a row with
+    one has two cells of U, its start and end.  Take the r rows with
+    such cells top down: the k-th has at most u - 2(r - k + 1) column
+    tops above it, as the starts and ends of itself and of the r - k
+    rows below lie at or under it.  So s <= u + sum_k (u - 2(r - k +
+    1)) = (r + 1)(u - r) <= (u + 1)**2 / 4, u >= ceil(2 sqrt(s)) - 1 and
+    instances <= s + 1 - ceil(2 sqrt(s)).
+
+    Inverted: s + 1 - ceil(2 sqrt(s)) climbs by 0 or 1 per cell, and
+    with t = ceil(2 sqrt(count)) it reaches count at s = count + 1 + t,
+    since 4(count + 1 + t) <= (t + 2)**2, and not at count + t, since
+    4(count + t) > (t + 1)**2.
     """
     if count <= 0:
         return 1
     # m(s) = (isqrt(8s) + 1) // 2: m(m + 1)/2 >= s means (2m + 1)**2 > 8s.
     stair = (math.isqrt(8 * count) + 1) // 2 + 1 if min(pattern.width, pattern.height) > 1 else 0
-    return count + max(len(pattern.cells) - 1, stair)
+    # ceil(2 sqrt(count)) = isqrt(4 count - 1) + 1 for count >= 1.
+    root = math.isqrt(4 * count - 1) + 2 if _has_block(pattern) or _has_branch(pattern) else 0
+    return count + max(len(pattern.cells) - 1, stair, root)
+
+
+@functools.lru_cache(maxsize=16)
+def _has_block(pattern: Polyomino) -> bool:
+    """Whether ``pattern`` holds a 2x2 block of cells."""
+    cells = set(pattern.cells)
+    return any({(x + 1, y), (x, y + 1), (x + 1, y + 1)} <= cells for x, y in cells)
+
+
+@functools.lru_cache(maxsize=16)
+def _has_branch(pattern: Polyomino) -> bool:
+    """Whether a cell of ``pattern`` has three or four pattern neighbours."""
+    cells = set(pattern.cells)
+    return any(
+        len({(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)} & cells) >= 3 for x, y in cells
+    )
 
 
 def _partitions(n: int, most: int) -> Iterable[tuple[int, ...]]:
@@ -735,13 +786,24 @@ def _growth_box(
     has no empty row, so instances <= size - H (<= size - W for a pattern
     two or more cells high).  The clamped box must still hold ``size``
     cells and ``need`` translates, and :func:`_least_size` bounds ``size``.
+
+    A pattern with a 2x2 block allows at most ``size + 1 - W - H``
+    instances (see :func:`_least_size`), so W + H <= K = size + 1 - need,
+    and W H >= size: W (K - W) >= size, which holds up to the larger
+    root of w**2 - K w + size, and so does H.  That root's floor is (K +
+    isqrt(K**2 - 4 size)) // 2, and K**2 >= 4 size once
+    :func:`_least_size` admits ``size``.
     """
+    if size < _least_size(pattern, need):
+        return None
     width = min(box[0], size - need if pattern.height > 1 else size)
     height = min(box[1], size - need if pattern.width > 1 else size)
+    if _has_block(pattern):
+        k = size + 1 - need
+        side = (k + math.isqrt(k * k - 4 * size)) // 2
+        width, height = min(width, side), min(height, side)
     translates = max(0, width - pattern.width + 1) * max(0, height - pattern.height + 1)
     if min(width, height) < 1 or size > width * height or translates < need:
-        return None
-    if size < _least_size(pattern, need):
         return None
     return width, height
 
@@ -960,6 +1022,16 @@ def _redelmeier_witnesses(
     return shapes, nodes
 
 
+@functools.cache
+def _ltromino_turns() -> dict[tuple[Vec, ...], tuple[int, int, int, int]]:
+    """The L-tromino's 4 rotations, each with the first isometry of
+    ``_ISOMETRIES`` that carries the L-tromino onto it."""
+    turns: dict[tuple[Vec, ...], tuple[int, int, int, int]] = {}
+    for g in _ISOMETRIES:
+        turns.setdefault(_moved(LTROMINO.cells, g), g)
+    return turns
+
+
 def min_size_with_instances(
     pattern: Polyomino,
     count: int,
@@ -980,7 +1052,7 @@ def min_size_with_instances(
     if count < 1:
         raise SearchError("need count >= 1")
     start = _least_size(pattern, count)
-    turn = next((g for g in _ISOMETRIES if _moved(LTROMINO.cells, g) == pattern.cells), None)
+    turn = _ltromino_turns().get(pattern.cells)
     if turn is not None and start <= size_cap:
         return start, _ltromino_witnesses(start, turn, node_limit)
     spent = 0

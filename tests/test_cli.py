@@ -522,10 +522,9 @@ def test_min_size_skips_the_sizes_no_box_admits():
 
 
 def test_min_size_starts_at_the_first_admitted_size():
-    # 10**12 square instances: the first size the staircase bound admits,
-    # s = 10**12 + m with m = 1,414,215 the least m(m + 1)/2 >= s, lies
-    # about 1.4 * 10**6 sizes past the counting bound; a walk over them
-    # took seconds.
+    # 10**12 square instances: the first size the bounds admit, s =
+    # 10**12 + 1 + ceil(2 sqrt(10**12)) = (10**6 + 1)**2, lies about 2 *
+    # 10**6 sizes past the counting bound; a walk over them took seconds.
     argv = ["min-size", "--pattern", "square", "--instances", str(10**12), "--cap", str(2 * 10**12)]
     start = time.perf_counter()
     proc = subprocess.run(
@@ -533,7 +532,7 @@ def test_min_size_starts_at_the_first_admitted_size():
     )
     assert time.perf_counter() - start < 3
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(f"error: shape growth of {10**12 + 1_414_215} cells passes ")
+    assert proc.stderr.startswith(f"error: shape growth of {10**12 + 2_000_001} cells passes ")
     assert proc.stderr.count("\n") == 1
 
 
@@ -893,6 +892,30 @@ def test_ignored_or_missing_options_exit_2(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (("min-size", "--instances", "4", "--cap", "10"), "squre"),
+        (("enumerate", "--shape", "rect:2x2", "--colors", "2"), "Square"),
+        (("shape-census", "--colors", "2", "--size", "4", "--bbox", "3x3"), "squre"),
+    ],
+    ids=["min-size", "enumerate", "shape-census"],
+)
+def test_unknown_pattern_name_exits_2_with_the_known_names(capsys, argv, spec):
+    # A name that is neither a built-in pattern nor a file is reported as
+    # a pattern, not as a missing file.
+    code, out, err = invoke(capsys, *argv, "--pattern", spec)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: unknown pattern {spec!r}; known: ['ell', 'ltromino', 'square', 'tee', 'zee'] or straight:K\n"
+    )
+
+
+def test_unknown_shape_name_keeps_its_own_line(capsys):
+    code, out, err = invoke(capsys, "enumerate", "--shape", "squre", "--pattern", "square", "--colors", "2")
+    assert (code, out, err) == (2, "", "error: cannot read shape 'squre'\n")
 
 
 def test_render_round_trip(capsys):

@@ -837,10 +837,10 @@ def _grown_at_first_size(pattern, count, size):
     [
         (_grown_at_first_size(LTROMINO, 8, 13), 1_809),
         (_grown_at_first_size(LTROMINO, 9, 14), 1_814),
-        (_min_size(SQUARE, 4, 10), 520),
-        (_min_size(TEE, 3, 10), 557),
-        (_min_size(TEE, 4, 10), 558),
-        (_min_size(_turned(TRANSPOSE, TEE), 4, 10), 668),
+        (_min_size(SQUARE, 4, 10), 158),
+        (_min_size(TEE, 3, 10), 453),
+        (_min_size(TEE, 4, 10), 454),
+        (_min_size(_turned(TRANSPOSE, TEE), 4, 10), 547),
         (_grown(13), 1_809),
         (_grown(14), 10_890),
     ],
@@ -878,22 +878,116 @@ def test_row_ends_and_column_tops_bound_any_cell_set(cells, flip):
     assert len(cells) <= m * (m + 1) // 2
 
 
-def test_least_size_is_the_first_size_both_bounds_admit():
-    # A walk one size at a time: the least s >= count + k - 1, and for a
-    # pattern two or more cells wide and high with s - m(s) >= count.
+def _root_bound(s):
+    """s + 1 - ceil(2 sqrt(s)): the most instances of a 2x2 block in s
+    connected cells, and of a three-neighbour cell in any s cells."""
+    t = math.isqrt(4 * s)
+    return s + 1 - t - (t * t < 4 * s)
+
+
+def _line_ends(cells, d):
+    """The cells with no cell of ``cells`` further along the unit step d
+    in their row or column."""
+    dx, dy = d
+    best = {}
+    for x, y in cells:
+        line, at = (y, dx * x) if dy == 0 else (x, dy * y)
+        if line not in best or at > best[line][0]:
+            best[line] = (at, (x, y))
+    return {cell for _, cell in best.values()}
+
+
+# The patterns that take the A + 1 - ceil(2 sqrt(A)) bound: the square
+# has a 2x2 block, the tee a cell with three neighbours.
+ROOT_PATTERNS = {SQUARE.cells, TEE.cells, _turned(TRANSPOSE, TEE).cells}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=40),
+    st.sampled_from(SYMMETRIES[:4]),
+)
+def test_three_neighbour_cells_bound_any_cell_set(cells, turn):
+    # The tee lemma of _least_size, holes and gaps included: a cell that
+    # plays the tee's three-neighbour cell j ends no row or column on
+    # the sides of j's neighbours, and those ends number at least
+    # ceil(2 sqrt(A)) - 1.
+    pattern = _turned(turn, TEE)
+    pcells = set(pattern.cells)
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    x, y = next(c for c in pcells if sum((c[0] + dx, c[1] + dy) in pcells for dx, dy in steps) == 3)
+    ends = set().union(*(_line_ends(cells, d) for d in steps if (x + d[0], y + d[1]) in pcells))
+    count = len(instances_of(pattern, cells))
+    assert count <= len(cells) - len(ends) <= _root_bound(len(cells))
+
+
+P_PENTOMINO = normalize([(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.sampled_from([SQUARE] + [_turned(g, P_PENTOMINO) for g in SYMMETRIES]),
+)
+def test_two_by_two_blocks_bound_any_polyomino(seed, size, pattern):
+    # The square bound of _least_size: at most A + 1 - (W + H) <= A + 1 -
+    # ceil(2 sqrt(A)) instances of a pattern with a 2x2 block.
+    shape = random_polyomino(random.Random(seed), size)
+    count = len(instances_of(pattern, shape))
+    assert count <= size + 1 - shape.width - shape.height <= _root_bound(size)
+    assert _growth_box(pattern, size, (size, size), count) is not None
+
+
+def test_root_bound_is_the_square_and_tee_maximum():
+    # Over every fixed polyomino of 1 to 10 cells (OEIS A001168), the most
+    # square instances and the most tee instances are A + 1 - ceil(2 sqrt(A)).
+    for s in range(1, 11):
+        fixed, _ = _redelmeier_witnesses(straight(1), s, (s, s), 0, s, DEFAULT_NODE_LIMIT)
+        for pattern in (SQUARE, TEE):
+            assert max(len(instances_of(pattern, shape)) for shape in fixed) == _root_bound(s)
+
+
+@pytest.mark.parametrize("pattern", [SQUARE, P_PENTOMINO], ids=["square", "p-pentomino"])
+def test_growth_box_clamp_keeps_every_shape_that_qualifies(pattern):
+    # With need 0 the clamp W + ceil(A / W) <= A + 1 - need admits every
+    # width up to A, so growth lists every fixed polyomino with its
+    # instances; each must fit the box _growth_box gives for its count.
+    fixed = [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
+    for s in range(len(pattern), 11):
+        shapes, _ = _redelmeier_witnesses(pattern, s, (s, s), 0, s, DEFAULT_NODE_LIMIT)
+        assert len(shapes) == fixed[s - 1]
+        for shape in shapes:
+            count = len(instances_of(pattern, shape))
+            if count:
+                width, height = _growth_box(pattern, s, (s, s), count)
+                assert shape.width <= width and shape.height <= height
+
+
+def test_least_size_is_the_first_size_every_bound_admits():
+    # A walk one size at a time: the least s >= count + k - 1, for a
+    # pattern two or more cells wide and high with s - m(s) >= count, and
+    # for the square and the tee with s + 1 - ceil(2 sqrt(s)) >= count.
     # The least size only grows with count, so one walk serves them all.
     for pattern in BOUND_PATTERNS + [_turned(TRANSPOSE, p) for p in BOUND_PATTERNS]:
+        rooted = pattern.cells in ROOT_PATTERNS
         s = 0
         for count in range(1, 2001):
             s = max(s, count + len(pattern) - 1)
             while min(pattern.width, pattern.height) > 1 and s - _staircase(s) < count:
                 s += 1
+            while rooted and _root_bound(s) < count:
+                s += 1
             assert _least_size(pattern, count) == s
         # Past any walk: s is the least size exactly when s - m(s) = count
-        # and m(s - 1) = m(s), m = s - count read off the staircase.
+        # and m(s - 1) = m(s), m = s - count read off the staircase; for
+        # the square and the tee, when s + 1 - ceil(2 sqrt(s)) = count and
+        # one cell less falls short.
         count = 10**20
         s = _least_size(pattern, count)
-        if min(pattern.width, pattern.height) > 1:
+        if rooted:
+            assert _root_bound(s - 1) < _root_bound(s) == count
+        elif min(pattern.width, pattern.height) > 1:
             m = s - count
             assert (m - 1) * m // 2 < s - 1 < s <= m * (m + 1) // 2
         else:
